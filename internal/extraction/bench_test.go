@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/hearst"
 )
 
 func benchInputs(n int) []Input {
@@ -25,6 +26,33 @@ func BenchmarkRun(b *testing.B) {
 		res := Run(inputs, DefaultConfig())
 		if res.Store.NumPairs() == 0 {
 			b.Fatal("no pairs")
+		}
+	}
+}
+
+// BenchmarkResolveRound measures one map phase of Algorithm 1 on one
+// worker: every parsed sentence of a 10k corpus, none yet decided,
+// resolved against the Γ a full run learned. resolve only reads the
+// states, so every iteration repeats the same round.
+func BenchmarkResolveRound(b *testing.B) {
+	inputs := benchInputs(10000)
+	cfg := DefaultConfig()
+	cfg.Workers = 1
+	store := Run(inputs, cfg).Store
+	var states []*sentenceState
+	var pending []int
+	for i, in := range inputs {
+		if m, ok := hearst.Parse(in.Text); ok {
+			pending = append(pending, len(states))
+			states = append(states, newSentenceState(i, in.Text, m, in.PageScore))
+		}
+	}
+	cfg = cfg.withDefaults()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if d := mapPhase(states, pending, cfg, store); len(d) != len(pending) {
+			b.Fatalf("%d decisions for %d sentences", len(d), len(pending))
 		}
 	}
 }

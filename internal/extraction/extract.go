@@ -31,12 +31,46 @@ type sentenceState struct {
 	text      string // raw sentence, kept for checkpointing pending states
 	match     hearst.Match
 	pageScore float64
+
+	// Canonical readings of the match, derived once by newSentenceState
+	// and read-only afterwards: every round reads them, none recomputes.
+	superKeys []string   // CanonicalSuper of each candidate in match.Supers
+	chunks    [][]string // segChunks of each segment
+	joins     [][]string // prefixJoins of each segment's chunks
+
 	super     string // canonical super-concept key, once detected
 	superDone bool
 	status    []posState
-	readings  [][]string // accepted canonical readings per position
-	accepted  []string   // all accepted canonical subs, in acceptance order
+	accepted  []string // all accepted canonical subs, in acceptance order
 	done      bool
+}
+
+// newSentenceState is the one constructor of a sentence's state: a fresh
+// parse and a checkpoint rehydration both go through it, so the derived
+// readings are always present.
+func newSentenceState(index int, text string, m hearst.Match, pageScore float64) *sentenceState {
+	st := &sentenceState{
+		index:     index,
+		text:      text,
+		match:     m,
+		pageScore: pageScore,
+		superKeys: make([]string, len(m.Supers)),
+		chunks:    make([][]string, len(m.Segments)),
+		joins:     make([][]string, len(m.Segments)),
+		status:    make([]posState, len(m.Segments)),
+	}
+	for i, s := range m.Supers {
+		st.superKeys[i] = CanonicalSuper(s)
+	}
+	for i, seg := range m.Segments {
+		chunks := segChunks(seg)
+		joins := prefixJoins(chunks)
+		if len(chunks) == 1 && joins[0] == chunks[0] {
+			joins = chunks // most segments: one reading, kept once
+		}
+		st.chunks[i], st.joins[i] = chunks, joins
+	}
+	return st
 }
 
 // evidenceSeq packs a sentence's global corpus index, the 1-based segment
@@ -178,18 +212,17 @@ func (r *resolver) pSuper(x string) float64 {
 }
 
 // bestSegCount returns the highest n(x, c) over the candidate occupants
-// of the segment's position — the prefix joins plus the individual
-// chunks ("..., Proctor and Gamble and IBM" is anchored by IBM, which is
-// a chunk but not a prefix join). Used by the scope search.
-func (r *resolver) bestSegCount(seg hearst.Segment, x string) int64 {
+// of segment j's position — the prefix joins plus the individual chunks
+// ("..., Proctor and Gamble and IBM" is anchored by IBM, which is a chunk
+// but not a prefix join). Used by the scope search.
+func (r *resolver) bestSegCount(st *sentenceState, j int, x string) int64 {
 	var best int64
-	chunks := segChunks(seg)
-	for _, c := range prefixJoins(chunks) {
+	for _, c := range st.joins[j] {
 		if n := r.store.Count(x, c); n > best {
 			best = n
 		}
 	}
-	for _, c := range chunks {
+	for _, c := range st.chunks[j] {
 		if n := r.store.Count(x, c); n > best {
 			best = n
 		}
@@ -201,21 +234,20 @@ func (r *resolver) bestSegCount(seg hearst.Segment, x string) int64 {
 // key, or ok=false when the likelihood ratio between the two best
 // candidates stays under the threshold.
 func (r *resolver) detectSuper(st *sentenceState) (string, bool) {
-	supers := st.match.Supers
-	if len(supers) == 1 {
-		return CanonicalSuper(supers[0]), true
+	keys := st.superKeys
+	if len(keys) == 1 {
+		return keys[0], true
 	}
 	type scored struct {
 		key   string
 		score float64 // log p(x) + sum log p(seg|x)
 	}
-	cands := make([]scored, 0, len(supers))
-	for _, s := range supers {
-		key := CanonicalSuper(s)
+	cands := make([]scored, 0, len(keys))
+	for _, key := range keys {
 		sc := math.Log(r.pSuper(key))
-		for _, seg := range st.match.Segments {
+		for _, joins := range st.joins {
 			best := r.cfg.Epsilon
-			for _, c := range prefixJoins(segChunks(seg)) {
+			for _, c := range joins {
 				if p := r.pSub(c, key); p > best {
 					best = p
 				}
@@ -248,8 +280,8 @@ func (r *resolver) detectSuper(st *sentenceState) (string, bool) {
 // full join (a compound name such as "Proctor and Gamble" — the
 // Downey-style association heuristic of Section 2.1: name fragments do
 // not recur independently, while real list members do), and common-noun
-// chunks stay undecided until Γ learns more.
-func (r *resolver) segmentChunks(chunks []string, x string, acceptedSoFar []string) ([]string, bool) {
+// chunks stay undecided until Γ learns more. joins is prefixJoins(chunks).
+func (r *resolver) segmentChunks(chunks, joins []string, x string, acceptedSoFar []string) ([]string, bool) {
 	var out []string
 	accepted := acceptedSoFar
 	for len(chunks) > 0 {
@@ -257,7 +289,7 @@ func (r *resolver) segmentChunks(chunks []string, x string, acceptedSoFar []stri
 			out = append(out, chunks[0])
 			break
 		}
-		cands := prefixJoins(chunks)
+		cands := joins
 		scores := make([]float64, len(cands))
 		raw := make([]bool, len(cands)) // any unsmoothed evidence?
 		for i, c := range cands {
@@ -297,7 +329,7 @@ func (r *resolver) segmentChunks(chunks []string, x string, acceptedSoFar []stri
 			// acceptance conditions the rest.
 			last := chunks[len(chunks)-1]
 			if r.store.PYgivenX(last, x) > 0 || r.store.PSubGlobal(last) > 0 {
-				left, ok := r.segmentChunks(chunks[:len(chunks)-1], x, append(accepted, last))
+				left, ok := r.segmentChunks(chunks[:len(chunks)-1], joins[:len(joins)-1], x, append(accepted, last))
 				if !ok {
 					return nil, false
 				}
@@ -328,6 +360,7 @@ func (r *resolver) segmentChunks(chunks []string, x string, acceptedSoFar []stri
 		out = append(out, item)
 		accepted = append(accepted, item)
 		chunks = chunks[best+1:]
+		joins = prefixJoins(chunks)
 	}
 	return out, true
 }
@@ -371,7 +404,7 @@ func (r *resolver) resolve(idx int, st *sentenceState) decision {
 	// position 1 must not condemn the rest of the list).
 	scope := -1
 	for j := len(segs) - 1; j >= 0; j-- {
-		if r.bestSegCount(segs[j], super) >= r.cfg.SubMinCount {
+		if r.bestSegCount(st, j, super) >= r.cfg.SubMinCount {
 			scope = j
 			break
 		}
@@ -390,7 +423,7 @@ func (r *resolver) resolve(idx int, st *sentenceState) decision {
 		// rounds.
 		if st.status[0] == posUndecided && !segs[0].Ambiguous() &&
 			!nlp.ContainsDelimiterWord(segs[0].Whole) {
-			d.accepts = append(d.accepts, accept{pos: 0, reading: segChunks(segs[0])})
+			d.accepts = append(d.accepts, accept{pos: 0, reading: st.chunks[0]})
 			d.progress = true
 		}
 		d.done = r.allDecidedAfter(st, d)
@@ -406,12 +439,12 @@ func (r *resolver) resolve(idx int, st *sentenceState) decision {
 		var reading []string
 		if segs[j].Ambiguous() {
 			var ok bool
-			reading, ok = r.segmentChunks(segChunks(segs[j]), super, acceptedSoFar)
+			reading, ok = r.segmentChunks(st.chunks[j], st.joins[j], super, acceptedSoFar)
 			if !ok {
 				continue // too close to call; retry next round
 			}
 		} else {
-			reading = segChunks(segs[j])
+			reading = st.chunks[j]
 		}
 		d.accepts = append(d.accepts, accept{pos: j, reading: reading})
 		acceptedSoFar = append(acceptedSoFar, reading...)
@@ -428,18 +461,14 @@ func (r *resolver) resolve(idx int, st *sentenceState) decision {
 }
 
 // allDecidedAfter reports whether applying d leaves no undecided position.
+// resolve decides each undecided position at most once, so that holds
+// exactly when d decides as many positions as are undecided.
 func (r *resolver) allDecidedAfter(st *sentenceState, d decision) bool {
-	decided := make(map[int]bool, len(d.accepts)+len(d.rejects))
-	for _, a := range d.accepts {
-		decided[a.pos] = true
-	}
-	for _, j := range d.rejects {
-		decided[j] = true
-	}
-	for j, s := range st.status {
-		if s == posUndecided && !decided[j] {
-			return false
+	undecided := 0
+	for _, s := range st.status {
+		if s == posUndecided {
+			undecided++
 		}
 	}
-	return true
+	return undecided == len(d.accepts)+len(d.rejects)
 }

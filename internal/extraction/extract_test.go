@@ -58,7 +58,7 @@ func TestDetectSuperPrefersSemanticReading(t *testing.T) {
 	if !ok {
 		t.Fatal("parse failed")
 	}
-	st := &sentenceState{match: m, status: make([]posState, len(m.Segments))}
+	st := newSentenceState(0, m.Raw, m, 0)
 	super, ok := r.detectSuper(st)
 	if !ok {
 		t.Fatal("detectSuper undecided despite strong evidence")
@@ -72,7 +72,7 @@ func TestDetectSuperUndecidedOnEmptyStore(t *testing.T) {
 	cfg := DefaultConfig()
 	r := &resolver{cfg: cfg.withDefaults(), store: kb.NewStore(0)}
 	m, _ := hearst.Parse("animals other than dogs such as cats")
-	st := &sentenceState{match: m, status: make([]posState, len(m.Segments))}
+	st := newSentenceState(0, m.Raw, m, 0)
 	if _, ok := r.detectSuper(st); ok {
 		t.Error("detectSuper decided with no knowledge")
 	}
@@ -87,7 +87,7 @@ func TestDetectSuperModifierStripping(t *testing.T) {
 	if !ok {
 		t.Fatal("parse failed")
 	}
-	st := &sentenceState{match: m, status: make([]posState, len(m.Segments))}
+	st := newSentenceState(0, m.Raw, m, 0)
 	super, ok := r.detectSuper(st)
 	if !ok {
 		t.Fatal("detectSuper undecided")
@@ -95,6 +95,11 @@ func TestDetectSuperModifierStripping(t *testing.T) {
 	if super != "domestic animal" {
 		t.Errorf("super = %q, want domestic animal", super)
 	}
+}
+
+// segmentChunksOf runs segmentChunks over bare chunks.
+func segmentChunksOf(r *resolver, chunks []string, x string, accepted []string) ([]string, bool) {
+	return r.segmentChunks(chunks, prefixJoins(chunks), x, accepted)
 }
 
 func TestSegmentChunksCompoundName(t *testing.T) {
@@ -106,7 +111,7 @@ func TestSegmentChunksCompoundName(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	r := &resolver{cfg: cfg.withDefaults(), store: s}
-	reading, ok := r.segmentChunks([]string{"Proctor", "Gamble"}, "company", []string{"IBM"})
+	reading, ok := segmentChunksOf(r, []string{"Proctor", "Gamble"}, "company", []string{"IBM"})
 	if !ok {
 		t.Fatal("undecided despite evidence")
 	}
@@ -124,7 +129,7 @@ func TestSegmentChunksSplitsRealLists(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	r := &resolver{cfg: cfg.withDefaults(), store: s}
-	reading, ok := r.segmentChunks([]string{"cat", "dog"}, "animal", nil)
+	reading, ok := segmentChunksOf(r, []string{"cat", "dog"}, "animal", nil)
 	if !ok {
 		t.Fatal("undecided despite evidence")
 	}
@@ -138,12 +143,12 @@ func TestSegmentChunksDefaults(t *testing.T) {
 	r := &resolver{cfg: cfg.withDefaults(), store: kb.NewStore(0)}
 	// With an empty Γ and capitalised fragments, the compound-name
 	// default applies (Downey-style association).
-	reading, ok := r.segmentChunks([]string{"Proctor", "Gamble"}, "company", nil)
+	reading, ok := segmentChunksOf(r, []string{"Proctor", "Gamble"}, "company", nil)
 	if !ok || len(reading) != 1 || reading[0] != "Proctor and Gamble" {
 		t.Errorf("reading = %v ok=%v, want compound default", reading, ok)
 	}
 	// Common-noun chunks with no evidence stay undecided.
-	if _, ok := r.segmentChunks([]string{"cat", "dog"}, "animal", nil); ok {
+	if _, ok := segmentChunksOf(r, []string{"cat", "dog"}, "animal", nil); ok {
 		t.Error("decided common-noun split with empty Γ")
 	}
 }
@@ -161,7 +166,7 @@ func TestResolveScopeRejectsTrailingJunk(t *testing.T) {
 	if !ok {
 		t.Fatal("parse failed")
 	}
-	st := &sentenceState{match: m, status: make([]posState, len(m.Segments)), readings: make([][]string, len(m.Segments))}
+	st := newSentenceState(0, m.Raw, m, 0)
 	d := r.resolve(0, st)
 	if !d.done {
 		t.Fatalf("sentence not finalized: %+v", d)
@@ -193,7 +198,7 @@ func TestResolveFallbackFirstPosition(t *testing.T) {
 	if !ok {
 		t.Fatal("parse failed")
 	}
-	st := &sentenceState{match: m, status: make([]posState, len(m.Segments)), readings: make([][]string, len(m.Segments))}
+	st := newSentenceState(0, m.Raw, m, 0)
 	d := r.resolve(0, st)
 	if d.done {
 		t.Error("sentence should stay pending")
@@ -210,7 +215,7 @@ func TestResolveFallbackRejectsMalformedFirst(t *testing.T) {
 	if !ok {
 		t.Fatal("parse failed")
 	}
-	st := &sentenceState{match: m, status: make([]posState, len(m.Segments)), readings: make([][]string, len(m.Segments))}
+	st := newSentenceState(0, m.Raw, m, 0)
 	d := r.resolve(0, st)
 	if len(d.accepts) != 0 {
 		t.Errorf("ambiguous first candidate accepted with empty Γ: %+v", d.accepts)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/hearst"
 )
 
 func corpusInputs(t testing.TB, sentences int, seed int64) []Input {
@@ -155,6 +156,46 @@ func TestResumeRejectsMismatchedChunkSize(t *testing.T) {
 	cfg.ChunkSize = 256
 	if _, err := Resume(base.Checkpoint, nil, cfg); err == nil {
 		t.Fatal("chunk-size mismatch accepted")
+	}
+}
+
+// TestRehydrateRestoresDerivedReadings: a state rebuilt from its
+// checkpointed form carries the same canonical readings as a fresh parse,
+// and those are the readings the canonicalisers give.
+func TestRehydrateRestoresDerivedReadings(t *testing.T) {
+	for _, text := range []string{
+		"animals other than dogs such as cats",
+		"companies such as IBM, Nokia, Proctor and Gamble",
+		"representatives in North America, Europe, Australia, Japan, China, and other countries",
+	} {
+		m, ok := hearst.Parse(text)
+		if !ok {
+			t.Fatalf("%q: parse failed", text)
+		}
+		st := newSentenceState(41, text, m, 0.5)
+		st.super, st.superDone = st.superKeys[0], true
+		st.status[0] = posAccepted
+		st.accepted = append(st.accepted, st.chunks[0]...)
+
+		got, err := rehydrate(dehydrate(st))
+		if err != nil {
+			t.Fatalf("%q: rehydrate: %v", text, err)
+		}
+		if !reflect.DeepEqual(got, st) {
+			t.Errorf("%q: rehydrated state differs:\n got %+v\nwant %+v", text, got, st)
+		}
+		for i, s := range m.Supers {
+			if got.superKeys[i] != CanonicalSuper(s) {
+				t.Errorf("%q: super key %d = %q, want %q", text, i, got.superKeys[i], CanonicalSuper(s))
+			}
+		}
+		for j, seg := range m.Segments {
+			chunks := segChunks(seg)
+			if !reflect.DeepEqual(got.chunks[j], chunks) || !reflect.DeepEqual(got.joins[j], prefixJoins(chunks)) {
+				t.Errorf("%q: segment %d readings %v / %v, want %v / %v",
+					text, j, got.chunks[j], got.joins[j], chunks, prefixJoins(chunks))
+			}
+		}
 	}
 }
 

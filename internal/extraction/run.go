@@ -203,14 +203,7 @@ func Resume(cp *Checkpoint, inputs []Input, cfg Config) (*Result, error) {
 		if !ok {
 			return
 		}
-		states = append(states, &sentenceState{
-			index:     index,
-			text:      in.Text,
-			match:     m,
-			pageScore: in.PageScore,
-			status:    make([]posState, len(m.Segments)),
-			readings:  make([][]string, len(m.Segments)),
-		})
+		states = append(states, newSentenceState(index, in.Text, m, in.PageScore))
 		parsed++
 	}
 
@@ -428,17 +421,10 @@ func rehydrate(ps PendingSentence) (*sentenceState, error) {
 		return nil, fmt.Errorf("%w: pending sentence %d has %d segments, checkpoint has %d",
 			ErrBadCheckpoint, ps.Index, len(m.Segments), len(ps.Status))
 	}
-	st := &sentenceState{
-		index:     ps.Index,
-		text:      ps.Text,
-		match:     m,
-		pageScore: ps.PageScore,
-		super:     ps.Super,
-		superDone: ps.SuperDone,
-		status:    make([]posState, len(ps.Status)),
-		readings:  make([][]string, len(ps.Status)),
-		accepted:  append([]string(nil), ps.Accepted...),
-	}
+	st := newSentenceState(ps.Index, ps.Text, m, ps.PageScore)
+	st.super = ps.Super
+	st.superDone = ps.SuperDone
+	st.accepted = append([]string(nil), ps.Accepted...)
 	for i, s := range ps.Status {
 		st.status[i] = posState(s)
 	}
@@ -472,9 +458,12 @@ func dehydrate(st *sentenceState) PendingSentence {
 // the map fan-out every store access is a read. The resolve call graph
 // (resolve, detectSuper, segmentChunks, pSub, pSuper, bestSegCount)
 // keeps all mutable state in locals, and distinct items touch distinct
-// sentenceStates. Each worker still gets its own resolver below, so a
-// future scratch field (say, a memo table) cannot silently become shared
-// state.
+// sentenceStates. A state's derived readings (superKeys, chunks, joins)
+// are written only by newSentenceState, before the state joins any
+// round; resolve reads them and may hand a chunks slice to the reduce
+// phase as an accepted reading, which only reads it too. Each worker
+// still gets its own resolver below, so a future scratch field (say, a
+// memo table) cannot silently become shared state.
 func mapPhase(states []*sentenceState, pending []int, cfg Config, store *kb.Store) []decision {
 	decisions := make([]decision, len(pending))
 	workers := parallel.Bound(cfg.Workers, len(pending))
@@ -504,13 +493,15 @@ func reducePhase(states []*sentenceState, pending []int, decisions []decision, r
 			st.super = d.super
 			st.superDone = true
 		}
-		counted := make(map[string]bool, len(st.accepted))
-		for _, s := range st.accepted {
-			counted[s] = true
+		var counted map[string]bool
+		if len(d.accepts) > 0 {
+			counted = make(map[string]bool, len(st.accepted))
+			for _, s := range st.accepted {
+				counted[s] = true
+			}
 		}
 		for _, a := range d.accepts {
 			st.status[a.pos] = posAccepted
-			st.readings[a.pos] = a.reading
 			for k, sub := range a.reading {
 				if sub == "" || sub == st.super || counted[sub] {
 					continue

@@ -2,6 +2,7 @@ package taxonomy
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/corpus"
@@ -69,6 +70,34 @@ func BenchmarkVertical(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkAdoptFragments measures fragment adoption on one label of 2000
+// fragments, each naming two children drawn from 3000, so that most
+// chain-merge through shared children into one large cluster and the
+// rest stay apart. Each iteration adopts over a fresh engine.
+func BenchmarkAdoptFragments(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	locals := make([]*Local, 2000)
+	for i := range locals {
+		var subs []string
+		for k := 0; k < 2; k++ {
+			c := fmt.Sprintf("c%d", rng.Intn(3000))
+			for n := 1 + rng.Intn(3); n > 0; n-- {
+				subs = append(subs, c)
+			}
+		}
+		locals[i] = NewLocal("x", subs)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		e := newEngine(locals, AbsoluteOverlap{Delta: 2})
+		b.StartTimer()
+		if e.adoptFragments() == 0 {
+			b.Fatal("no adoptions")
+		}
 	}
 }
 

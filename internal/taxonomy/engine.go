@@ -209,10 +209,23 @@ func (e *engine) runVerticalParallel(workers int) {
 // fragments chain-merge transitively through δ shared children, but a
 // laptop-scale corpus leaves many short-list fragments that never reach
 // the δ=2 threshold, shattering a concept like "company" into hundreds of
-// spurious senses. A fragment cluster is adopted by the heaviest cluster
-// of its label with which it shares at least one child; zero-overlap
-// clusters — genuine sense candidates such as the industrial reading of
-// "plant" — stay separate. Returns the number of adoptions.
+// spurious senses. The rule: rank a label's clusters by (mass desc, id
+// asc); repeatedly take the first cluster that shares at least one child
+// with a cluster ranked above it, and fold it into the first such cluster,
+// re-ranking after each fold. Zero-overlap clusters — genuine sense
+// candidates such as the industrial reading of "plant" — stay separate.
+// Returns the number of adoptions.
+//
+// Each label is ranked once and the scan never restarts. The scan keeps
+// live[:i] pairwise disjoint, and live[i] overlaps none of live[:j], so
+// when live[i] folds into live[j] only the grown cluster can now overlap
+// another member of that prefix, and only one of live[j+1:i]: those are
+// checked against the grown cluster alone, in rank order, before the
+// scan resumes at i. Mass is additive
+// under absorb, so the grown cluster's new rank is a shift to the left.
+// This is the same merge sequence as re-ranking and rescanning from the
+// top after every adoption, at O(n) overlap tests per adoption instead of
+// O(n²).
 func (e *engine) adoptFragments() int {
 	byRoot := make(map[string][]int)
 	for _, i := range e.alive() {
@@ -223,47 +236,54 @@ func (e *engine) adoptFragments() int {
 		roots = append(roots, r)
 	}
 	sort.Strings(roots)
-	adoptions := 0
-	mass := func(i int) int64 {
-		var m int64
-		for _, v := range e.nodes[i].Children {
-			m += v
+	mass := make([]int64, len(e.nodes))
+	ahead := func(a, b int) bool {
+		if mass[a] != mass[b] {
+			return mass[a] > mass[b]
 		}
-		return m
+		return a < b
 	}
+	adoptions := 0
 	for _, r := range roots {
-		ids := byRoot[r]
-		for {
-			var live []int
-			for _, i := range ids {
-				if e.find(i) == i && e.nodes[i] != nil {
-					live = append(live, i)
-				}
+		live := byRoot[r]
+		for _, i := range live {
+			mass[i] = childMass(e.nodes[i].Children)
+		}
+		sort.Slice(live, func(a, b int) bool { return ahead(live[a], live[b]) })
+		// adopt folds live[k] into live[g] (g < k), drops it from the
+		// ranking and returns the grown cluster's new rank.
+		adopt := func(g, k int) int {
+			a := live[g]
+			e.mergeHorizontal(a, live[k])
+			mass[a] += mass[live[k]]
+			adoptions++
+			live = append(live[:k], live[k+1:]...)
+			for ; g > 0 && ahead(a, live[g-1]); g-- {
+				live[g] = live[g-1]
 			}
-			if len(live) < 2 {
-				break
+			live[g] = a
+			return g
+		}
+		overlaps := func(a, b int) bool {
+			return overlap(e.nodes[live[a]].Children, e.nodes[live[b]].Children) > 0
+		}
+		for i := 1; i < len(live); {
+			j := 0
+			for j < i && !overlaps(j, i) {
+				j++
 			}
-			sort.Slice(live, func(a, b int) bool {
-				ma, mb := mass(live[a]), mass(live[b])
-				if ma != mb {
-					return ma > mb
-				}
-				return live[a] < live[b]
-			})
-			changed := false
-		scan:
-			for i := 1; i < len(live); i++ {
-				for j := 0; j < i; j++ {
-					if overlap(e.nodes[live[j]].Children, e.nodes[live[i]].Children) >= 1 {
-						e.mergeHorizontal(live[j], live[i])
-						adoptions++
-						changed = true
-						break scan
-					}
-				}
+			if j == i {
+				i++
+				continue
 			}
-			if !changed {
-				break
+			g := adopt(j, i)
+			for k := j + 1; k < i; {
+				if overlaps(g, k) {
+					g = adopt(g, k)
+					i--
+				} else {
+					k++
+				}
 			}
 		}
 	}

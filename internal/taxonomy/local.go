@@ -52,6 +52,16 @@ func (l *Local) absorb(other *Local) {
 	}
 }
 
+// childMass is the total occurrence count of a child multiset; absorb
+// adds masses.
+func childMass(children map[string]int64) int64 {
+	var m int64
+	for _, v := range children {
+		m += v
+	}
+	return m
+}
+
 // childLabels returns the sorted child labels.
 func (l *Local) childLabels() []string {
 	out := make([]string, 0, len(l.Children))

@@ -50,13 +50,7 @@ type Cluster struct {
 }
 
 // Mass is the total child occurrence count of the cluster.
-func (c Cluster) Mass() int64 {
-	var m int64
-	for _, v := range c.Children {
-		m += v
-	}
-	return m
-}
+func (c Cluster) Mass() int64 { return childMass(c.Children) }
 
 func (c Cluster) childLabels() []string {
 	out := make([]string, 0, len(c.Children))
