@@ -20,9 +20,6 @@
 // The base must be a -full snapshot (it carries the extraction
 // checkpoint, merge state and model counts); -scale and the taxonomy
 // settings must match the base build's.
-// -snapshot-version selects the binary format: 2 (default) writes the
-// CSR "PBC2" layout that probase-serve loads with a single sequential
-// read; 1 writes the legacy "PBGR" adjacency-list format.
 //
 // Human progress (per-round extraction counters with an ETA, merge-stage
 // timings, the final summary) goes to stderr so stdout stays clean for
@@ -122,7 +119,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		workers    = fs.Int("workers", 0, "worker pool size for all parallel build stages (0 = GOMAXPROCS)")
 		full       = fs.Bool("full", false, "also persist Γ (evidence, co-occurrence) and the resumable build state")
 		basePath   = fs.String("base", "", "delta mode: extend this -full snapshot over the (delta-only) corpus")
-		snapVer    = fs.Int("snapshot-version", core.SnapshotVersionDefault, "snapshot format version: 1 = legacy PBGR adjacency lists, 2 = PBC2 CSR (fast load)")
 		quiet      = fs.Bool("quiet", false, "suppress progress output on stderr")
 		statsOut   = fs.String("stats-out", "", "write a JSON build report to this file ('-' for stdout)")
 		version    = fs.Bool("version", false, "print build version and exit")
@@ -211,9 +207,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	save := func(w io.Writer) error { return pb.SaveVersion(w, *snapVer) }
+	save := pb.Save
 	if *full {
-		save = func(w io.Writer) error { return pb.SaveFullVersion(w, *snapVer) }
+		save = pb.SaveFull
 	}
 	saveStart := time.Now()
 	reporter.StageStart(obs.StageSnapshotSave)

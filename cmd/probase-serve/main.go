@@ -13,7 +13,6 @@
 //	curl 'localhost:8080/v1/instances?concept=companies&k=5'
 //	curl 'localhost:8080/v1/conceptualize?terms=China,India,Brazil'
 //	curl 'localhost:8080/metrics'
-//	curl 'localhost:8080/debug/vars'
 //
 // Observability: logs are structured (-log-format json|text, -log-level),
 // every response carries an X-Request-ID header, /metrics serves
@@ -32,8 +31,8 @@
 //
 // Storage: -mmap serves PBC2 graph-only snapshots zero-copy out of a
 // memory mapping instead of decoding them onto the heap (see FORMATS.md
-// for the layout that makes this possible); formats that cannot be
-// mapped fall back to the heap load with a warning. SIGHUP — or POST
+// for the layout that makes this possible); full PBFL snapshots cannot
+// be mapped and fall back to the heap load with a warning. SIGHUP — or POST
 // /v1/admin/reload — hot-swaps the snapshot from the same path without
 // dropping in-flight requests; the old mapping is released only after
 // its last reader finishes. See OPERATIONS.md for the full runbook.

@@ -113,16 +113,20 @@ func TestServeEndToEnd(t *testing.T) {
 		}
 	}
 	// The metrics endpoint reflects the traffic.
-	status, vars := getJSON(t, base+"/debug/vars")
-	if status != http.StatusOK {
-		t.Fatalf("/debug/vars status %d", status)
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
 	}
-	inst, ok := vars["instances"].(map[string]any)
-	if !ok {
-		t.Fatalf("instances metrics missing: %v", vars)
+	exposition, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if req, _ := inst["requests"].(float64); req == 0 {
-		t.Error("request counter is zero after traffic")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/metrics status %d", resp.StatusCode)
+	}
+	if !regexp.MustCompile(`(?m)^probase_http_requests_total\{endpoint="instances"\} [1-9]`).Match(exposition) {
+		t.Errorf("request counter is zero after traffic:\n%s", exposition)
 	}
 
 	cancel()

@@ -19,7 +19,7 @@ import (
 // Reference is a comparator taxonomy.
 type Reference struct {
 	Name      string
-	Graph     *graph.Store
+	Graph     *graph.Builder
 	Concepts  []string // singular concept labels
 	Instances []string
 }
@@ -28,7 +28,7 @@ type Reference struct {
 // deep clean hierarchy, and few instances per concept — lexicographers
 // curate words, not entities.
 func NewWordNetRef(w *corpus.World) *Reference {
-	r := &Reference{Name: "WordNet", Graph: graph.NewStore()}
+	r := &Reference{Name: "WordNet", Graph: graph.NewBuilder()}
 	include := func(c *corpus.Concept) bool {
 		return !strings.Contains(c.Label, " ")
 	}
@@ -40,7 +40,7 @@ func NewWordNetRef(w *corpus.World) *Reference {
 // thematic topics, moderate instances.
 func NewWikiTaxonomyRef(w *corpus.World) *Reference {
 	rng := rand.New(rand.NewSource(7))
-	r := &Reference{Name: "WikiTaxonomy", Graph: graph.NewStore()}
+	r := &Reference{Name: "WikiTaxonomy", Graph: graph.NewBuilder()}
 	include := func(c *corpus.Concept) bool {
 		if !strings.Contains(c.Label, " ") {
 			return true
@@ -55,7 +55,7 @@ func NewWikiTaxonomyRef(w *corpus.World) *Reference {
 // mapped into WordNet) and many instances, still well below web scale.
 func NewYAGORef(w *corpus.World) *Reference {
 	rng := rand.New(rand.NewSource(11))
-	r := &Reference{Name: "YAGO", Graph: graph.NewStore()}
+	r := &Reference{Name: "YAGO", Graph: graph.NewBuilder()}
 	include := func(c *corpus.Concept) bool {
 		if !strings.Contains(c.Label, " ") {
 			return true
@@ -78,7 +78,7 @@ var freebaseDomains = map[string]bool{
 // concept-subconcept edges (Table 4's all-zero row), and huge flat
 // instance sets inside its curated domains.
 func NewFreebaseRef(w *corpus.World) *Reference {
-	r := &Reference{Name: "Freebase", Graph: graph.NewStore()}
+	r := &Reference{Name: "Freebase", Graph: graph.NewBuilder()}
 	include := func(c *corpus.Concept) bool { return freebaseDomains[c.Key] }
 	r.build(w, include, 1<<30, false)
 	return r

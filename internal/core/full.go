@@ -32,17 +32,11 @@ var ErrBadFullSnapshot = errors.New("core: bad full snapshot")
 // evidence), so a reload supports evidence-based plausibility, not just
 // the stored edge values.
 func (p *Probase) SaveFull(w io.Writer) error {
-	return p.SaveFullVersion(w, SnapshotVersionDefault)
-}
-
-// SaveFullVersion is SaveFull with an explicit graph-section format
-// version (1 = "PBGR", 2 = "PBC2"); LoadFull reads both.
-func (p *Probase) SaveFullVersion(w io.Writer, version int) error {
 	if p.Store == nil {
 		return errors.New("core: no Γ to save; use Save for graph-only snapshots")
 	}
 	var gbuf, kbuf bytes.Buffer
-	if err := graph.WriteSnapshot(&gbuf, p.Graph, version); err != nil {
+	if err := graph.WriteSnapshot(&gbuf, p.Graph); err != nil {
 		return err
 	}
 	if err := p.Store.Save(&kbuf); err != nil {

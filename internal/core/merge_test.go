@@ -59,7 +59,7 @@ func TestMergeFreebaseInstances(t *testing.T) {
 func TestMergeIsDAGSafe(t *testing.T) {
 	pb, _ := buildFixture(t, 8000)
 	// An adversarial source that tries to invert an existing edge.
-	adv := graph.NewStore()
+	adv := graph.NewBuilder()
 	cat := adv.Intern("cat")
 	animal := adv.Intern("animal")
 	adv.AddEdge(cat, animal, 5, 0.9) // cat -> animal would close a cycle
@@ -74,7 +74,7 @@ func TestMergeIsDAGSafe(t *testing.T) {
 
 func TestMergeEmptySource(t *testing.T) {
 	pb, _ := buildFixture(t, 8000)
-	merged, err := pb.Merge(graph.NewStore())
+	merged, err := pb.Merge(graph.NewBuilder())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestMergeObservedReannotates(t *testing.T) {
 		t.Fatal("no annotated edge with Γ backing found")
 	}
 
-	src := graph.NewStore()
+	src := graph.NewBuilder()
 	// Duplicate the known pair with a bogus imported plausibility...
 	src.AddEdge(src.Intern(BaseLabel(fromLabel)), src.Intern(toLabel), 1, 0.123)
 	// ...and bring one pair Γ knows nothing about.

@@ -72,7 +72,7 @@ type Probase struct {
 	// for the iteration experiments). Nil when loaded from a snapshot.
 	Extraction *extraction.Result
 	// Format records the on-disk snapshot format this Probase was loaded
-	// from — the 4-byte magic ("PBGR", "PBC2", "PBFL"); empty for an
+	// from — the 4-byte magic ("PBC2" or "PBFL"); empty for an
 	// in-memory build. internal/snapshot sets it; the serving layer
 	// reports it on /v1/healthz.
 	Format string
@@ -111,7 +111,7 @@ func Build(inputs []extraction.Input, cfg Config) (*Probase, error) {
 // in Concepts() order afterwards. Plausibility values are not read back
 // during scoring, so deferring the writes cannot change any score and
 // the annotated graph is byte-identical at every worker count.
-func AnnotatePlausibility(g *graph.Store, model *prob.Model, workers int, rep obs.StageReporter) int64 {
+func AnnotatePlausibility(g *graph.Builder, model *prob.Model, workers int, rep obs.StageReporter) int64 {
 	rep = obs.ReporterOrNop(rep)
 	rep.StageStart(obs.StageProbAnnotate)
 	annStart := time.Now()
@@ -381,26 +381,13 @@ func (p *Probase) Rebind(g graph.Reader) (*Probase, error) {
 	}, nil
 }
 
-// SnapshotVersionDefault is the snapshot format written when the caller
-// does not pick one: v2 "PBC2", the CSR layout the serving path loads
-// with a single sequential read. Pass 1 to SaveVersion for the legacy
-// adjacency-list "PBGR" format.
-const SnapshotVersionDefault = 2
-
-// Save writes the taxonomy snapshot (graph, counts, plausibilities) in
-// the default format version. Γ and the evidence model are rebuildable
+// Save writes the taxonomy snapshot (graph, counts, plausibilities) as
+// a "PBC2" graph snapshot. Γ and the evidence model are rebuildable
 // from the corpus and are not persisted.
-func (p *Probase) Save(w io.Writer) error { return p.SaveVersion(w, SnapshotVersionDefault) }
+func (p *Probase) Save(w io.Writer) error { return graph.WriteSnapshot(w, p.Graph) }
 
-// SaveVersion writes the taxonomy snapshot in an explicit format
-// version: 1 = legacy "PBGR" adjacency lists, 2 = CSR "PBC2". Load
-// reads both.
-func (p *Probase) SaveVersion(w io.Writer, version int) error {
-	return graph.WriteSnapshot(w, p.Graph, version)
-}
-
-// Load reads a snapshot written by Save (either format version) and
-// rebuilds the query engine over the CSR view.
+// Load reads a snapshot written by Save and rebuilds the query engine
+// over the CSR view.
 func Load(r io.Reader) (*Probase, error) {
 	g, err := graph.LoadFrozen(r)
 	if err != nil {

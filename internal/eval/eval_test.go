@@ -66,7 +66,7 @@ func TestPairSetPrecision(t *testing.T) {
 }
 
 func TestHierarchy(t *testing.T) {
-	g := graph.NewStore()
+	g := graph.NewBuilder()
 	thing := g.Intern("thing")
 	animal := g.Intern("animal")
 	pet := g.Intern("pet")
@@ -91,7 +91,7 @@ func TestHierarchy(t *testing.T) {
 }
 
 func TestHierarchyEmptyAndCycle(t *testing.T) {
-	g := graph.NewStore()
+	g := graph.NewBuilder()
 	if m, err := Hierarchy("empty", g); err != nil || m.IsAPairs != 0 {
 		t.Errorf("empty: %+v %v", m, err)
 	}
@@ -104,7 +104,7 @@ func TestHierarchyEmptyAndCycle(t *testing.T) {
 }
 
 func TestDistribution(t *testing.T) {
-	g := graph.NewStore()
+	g := graph.NewBuilder()
 	big := g.Intern("big")
 	small := g.Intern("small")
 	for i := 0; i < 150; i++ {

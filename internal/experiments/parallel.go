@@ -44,9 +44,9 @@ var parallelWorkerCounts = []int{1, 2, 4}
 // DP dominates measurement noise: `width` nodes per level, each wired to
 // three parents of the previous level, giving wide per-level fan-out
 // (the axis the DP parallelizes over) and deep ancestor sets.
-func alg3BenchGraph(levels, width int) *graph.Store {
+func alg3BenchGraph(levels, width int) *graph.Builder {
 	rng := rand.New(rand.NewSource(7))
-	g := graph.NewStore()
+	g := graph.NewBuilder()
 	prev := []graph.NodeID{g.Intern("root")}
 	for l := 0; l < levels; l++ {
 		cur := make([]graph.NodeID, width)
@@ -68,7 +68,7 @@ func alg3BenchGraph(levels, width int) *graph.Store {
 
 // reachFingerprint hashes P(x,y) over every node pair, so two DP runs
 // agree iff their reach tables agree.
-func reachFingerprint(g *graph.Store, t *prob.Typicality) uint64 {
+func reachFingerprint(g *graph.Builder, t *prob.Typicality) uint64 {
 	h := fnv.New64a()
 	var buf [16]byte
 	n := graph.NodeID(g.NumNodes())
@@ -154,7 +154,7 @@ func (s *Setup) ParallelExp() (*ParallelResult, string) {
 			}
 		}
 		var buf bytes.Buffer
-		if err := tax.Graph.Save(&buf); err != nil {
+		if err := tax.Graph.Freeze().Save(&buf); err != nil {
 			panic(err)
 		}
 		taxSnapshots = append(taxSnapshots, buf.Bytes())
@@ -174,13 +174,13 @@ func (s *Setup) ParallelExp() (*ParallelResult, string) {
 	base := taxonomy.Build(groups, taxonomy.Config{Workers: 1})
 	var annSnapshots [][]byte
 	for _, w := range parallelWorkerCounts {
-		var g *graph.Store
+		var g *graph.Builder
 		secs := minSeconds(reps, func() {
 			g = base.Graph.Clone()
 			core.AnnotatePlausibility(g, model, w, nil)
 		})
 		var buf bytes.Buffer
-		if err := g.Save(&buf); err != nil {
+		if err := g.Freeze().Save(&buf); err != nil {
 			panic(err)
 		}
 		annSnapshots = append(annSnapshots, buf.Bytes())

@@ -17,10 +17,11 @@ import (
 )
 
 // StorageResult compares the two storage backends of the graph layer —
-// the mutable Builder and the frozen CSR view — plus the two snapshot
-// formats. The CI bench-compare job gates on the speedups being > 1 and
-// on ResultsIdentical: the frozen view must be strictly faster AND
-// answer every query exactly like the builder it was frozen from.
+// the mutable Builder and the frozen CSR view — plus the two ways of
+// loading a snapshot (copying decode and memory map). The CI
+// bench-compare job gates on the speedups being > 1 and on
+// ResultsIdentical: the frozen view must be strictly faster AND answer
+// every query exactly like the builder it was frozen from.
 type StorageResult struct {
 	Nodes int `json:"nodes"`
 	Edges int `json:"edges"`
@@ -33,17 +34,12 @@ type StorageResult struct {
 	HasPathBuilderNs     float64 `json:"haspath_builder_ns"`
 	HasPathFrozenNs      float64 `json:"haspath_frozen_ns"`
 
-	// Snapshot formats: bytes on disk and load wall time (both formats
-	// loaded through the same LoadFrozen entry point).
-	SaveV1Bytes  int     `json:"save_v1_bytes"`
-	SaveV2Bytes  int     `json:"save_v2_bytes"`
-	LoadV1Millis float64 `json:"load_v1_ms"`
-	LoadV2Millis float64 `json:"load_v2_ms"`
+	// Snapshot size on disk.
+	SaveV2Bytes int `json:"save_v2_bytes"`
 
 	LookupSpeedup      float64 `json:"lookup_speedup"`
 	DescendantsSpeedup float64 `json:"descendants_speedup"`
 	HasPathSpeedup     float64 `json:"haspath_speedup"`
-	LoadSpeedup        float64 `json:"load_speedup"`
 
 	// Memory-mapped serving (FORMATS.md rev-3 layout): the copying
 	// loader decodes the same file onto the heap; the mapped loader
@@ -156,9 +152,9 @@ func rankedFingerprint(g graph.Reader, t *prob.Typicality, sample int) string {
 	return sb.String()
 }
 
-// StorageExp measures the Builder-vs-Frozen read path and the v1-vs-v2
-// snapshot formats, and verifies the two backends are observably
-// identical on the corpus-built taxonomy.
+// StorageExp measures the Builder-vs-Frozen read path and the
+// copy-vs-mmap snapshot load, and verifies the two backends are
+// observably identical on the corpus-built taxonomy.
 func (s *Setup) StorageExp() (*StorageResult, string) {
 	res := &StorageResult{}
 	const reps = 5
@@ -218,25 +214,11 @@ func (s *Setup) StorageExp() (*StorageResult, string) {
 		}
 	})
 
-	// Snapshot formats, both loaded through LoadFrozen.
-	var v1, v2 bytes.Buffer
-	if err := graph.WriteSnapshot(&v1, b, 1); err != nil {
+	var snap bytes.Buffer
+	if err := f.Save(&snap); err != nil {
 		panic(err)
 	}
-	if err := graph.WriteSnapshot(&v2, f, 2); err != nil {
-		panic(err)
-	}
-	res.SaveV1Bytes, res.SaveV2Bytes = v1.Len(), v2.Len()
-	res.LoadV1Millis = minSeconds(reps, func() {
-		if _, err := graph.LoadFrozen(bytes.NewReader(v1.Bytes())); err != nil {
-			panic(err)
-		}
-	}) * 1e3
-	res.LoadV2Millis = minSeconds(reps, func() {
-		if _, err := graph.LoadFrozen(bytes.NewReader(v2.Bytes())); err != nil {
-			panic(err)
-		}
-	}) * 1e3
+	res.SaveV2Bytes = snap.Len()
 
 	// Mmap vs copy, measured from a real file so the mapped loader takes
 	// its production path (page cache, not a bytes.Reader).
@@ -246,7 +228,7 @@ func (s *Setup) StorageExp() (*StorageResult, string) {
 	}
 	defer os.RemoveAll(dir)
 	benchPath := filepath.Join(dir, "bench.pbc2")
-	if err := os.WriteFile(benchPath, v2.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(benchPath, snap.Bytes(), 0o644); err != nil {
 		panic(err)
 	}
 	res.LoadCopyMillis = minSeconds(reps, func() {
@@ -324,7 +306,6 @@ func (s *Setup) StorageExp() (*StorageResult, string) {
 	res.LookupSpeedup = res.LookupBuilderNs / res.LookupFrozenNs
 	res.DescendantsSpeedup = res.DescendantsBuilderNs / res.DescendantsFrozenNs
 	res.HasPathSpeedup = res.HasPathBuilderNs / res.HasPathFrozenNs
-	res.LoadSpeedup = res.LoadV1Millis / res.LoadV2Millis
 	res.MmapLoadSpeedup = res.LoadCopyMillis / res.LoadMmapMillis
 
 	// Equivalence on the corpus-built taxonomy: thaw the frozen graph
@@ -346,8 +327,7 @@ func (s *Setup) StorageExp() (*StorageResult, string) {
 		{"lookup ns/op", fmt.Sprintf("%.1f", res.LookupBuilderNs), fmt.Sprintf("%.1f", res.LookupFrozenNs), fmt.Sprintf("%.2fx", res.LookupSpeedup)},
 		{"descendants ns/op", fmt.Sprintf("%.0f", res.DescendantsBuilderNs), fmt.Sprintf("%.0f", res.DescendantsFrozenNs), fmt.Sprintf("%.2fx", res.DescendantsSpeedup)},
 		{"haspath ns/op", fmt.Sprintf("%.0f", res.HasPathBuilderNs), fmt.Sprintf("%.0f", res.HasPathFrozenNs), fmt.Sprintf("%.2fx", res.HasPathSpeedup)},
-		{"snapshot bytes", itoa(res.SaveV1Bytes), itoa(res.SaveV2Bytes), "-"},
-		{"load ms", fmt.Sprintf("%.2f", res.LoadV1Millis), fmt.Sprintf("%.2f", res.LoadV2Millis), fmt.Sprintf("%.2fx", res.LoadSpeedup)},
+		{"snapshot bytes", "-", itoa(res.SaveV2Bytes), "-"},
 		{"load ms (copy vs mmap)", fmt.Sprintf("%.2f", res.LoadCopyMillis), fmt.Sprintf("%.2f", res.LoadMmapMillis), fmt.Sprintf("%.2fx", res.MmapLoadSpeedup)},
 		{"first-query µs", fmt.Sprintf("%.0f", res.FirstQueryCopyMicros), fmt.Sprintf("%.0f", res.FirstQueryMmapMicros), "-"},
 		{"gc pause µs", fmt.Sprintf("%.0f", res.GCPauseCopyMicros), fmt.Sprintf("%.0f", res.GCPauseMmapMicros), "-"},
@@ -355,5 +335,5 @@ func (s *Setup) StorageExp() (*StorageResult, string) {
 	}
 	title := fmt.Sprintf("Storage backends: builder vs frozen CSR on %d nodes / %d edges (results_identical=%v)",
 		res.Nodes, res.Edges, res.ResultsIdentical)
-	return res, table(title, []string{"metric", "builder/v1", "frozen/v2", "speedup"}, rows)
+	return res, table(title, []string{"metric", "builder/copy", "frozen/mmap", "speedup"}, rows)
 }

@@ -9,9 +9,9 @@ import (
 
 // benchGraph builds a layered DAG: 50 roots -> 500 mid concepts -> 5000
 // leaves, roughly the shape of a built taxonomy.
-func benchGraph() *Store {
+func benchGraph() *Builder {
 	rng := rand.New(rand.NewSource(1))
-	s := NewStore()
+	s := NewBuilder()
 	var roots, mids, leaves []NodeID
 	for i := 0; i < 50; i++ {
 		roots = append(roots, s.Intern(fmt.Sprintf("root%d", i)))
@@ -53,41 +53,25 @@ func BenchmarkTopoLevels(b *testing.B) {
 }
 
 func BenchmarkSave(b *testing.B) {
-	s := benchGraph()
+	f := benchGraph().Freeze()
 	var buf bytes.Buffer
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
-		if err := s.Save(&buf); err != nil {
+		if err := f.Save(&buf); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.SetBytes(int64(buf.Len()))
 }
 
-func BenchmarkLoad(b *testing.B) {
-	s := benchGraph()
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Load(bytes.NewReader(data)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // benchGraphLarge is benchGraph scaled towards a realistic taxonomy:
 // 200 roots -> 5000 mid concepts -> 100k leaves. At this size the
 // working set no longer fits in L1/L2, which is the regime the frozen
 // CSR layout is built for.
-func benchGraphLarge() *Store {
+func benchGraphLarge() *Builder {
 	rng := rand.New(rand.NewSource(3))
-	s := NewStore()
+	s := NewBuilder()
 	var roots, mids []NodeID
 	for i := 0; i < 200; i++ {
 		roots = append(roots, s.Intern(fmt.Sprintf("root%d", i)))
@@ -161,24 +145,19 @@ func BenchmarkFrozenDescendants(b *testing.B) {
 	}
 }
 
-// BenchmarkLoadV1 / BenchmarkLoadV2 compare snapshot load of the two
-// formats through the same LoadFrozen entry point (v1 pays interning,
-// per-edge sorted inserts and a freeze; v2 is a sequential array read).
-func BenchmarkLoadV1(b *testing.B) {
-	benchmarkLoadVersion(b, 1)
-}
-
-func BenchmarkLoadV2(b *testing.B) {
-	benchmarkLoadVersion(b, 2)
-}
-
-func benchmarkLoadVersion(b *testing.B, version int) {
-	s := benchGraph()
+// benchSnapshot is benchGraph's snapshot bytes.
+func benchSnapshot(b *testing.B) []byte {
 	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, s, version); err != nil {
+	if err := WriteSnapshot(&buf, benchGraph()); err != nil {
 		b.Fatal(err)
 	}
-	data := buf.Bytes()
+	return buf.Bytes()
+}
+
+// BenchmarkLoadFrozen measures the copying loader: validate, decode the
+// CSR arrays onto the heap, and derive the lookup tables.
+func BenchmarkLoadFrozen(b *testing.B) {
+	data := benchSnapshot(b)
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -188,17 +167,12 @@ func benchmarkLoadVersion(b *testing.B, version int) {
 	}
 }
 
-// BenchmarkLoadMapped measures the zero-copy path on the same v2 bytes
-// BenchmarkLoadV2 decodes: parseV3 validates the header and checksum
+// BenchmarkLoadMapped measures the zero-copy path on the same bytes
+// BenchmarkLoadFrozen decodes: parseV3 validates the header and checksum
 // and points the CSR arrays and label arena into the buffer instead of
 // copying them out.
 func BenchmarkLoadMapped(b *testing.B) {
-	s := benchGraph()
-	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, s, 2); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := benchSnapshot(b)
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -3,52 +3,37 @@ package graph
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
-	"math"
 )
 
-// Snapshot format v2 "PBC2" (little-endian) serialises the Frozen CSR
-// layout directly. The container carries an internal layout revision
-// (the uvarint after the magic) with two revisions in the wild — both
-// fully specified byte-by-byte in FORMATS.md:
-//
-// Revision 2 (legacy, read-only today): varint-framed and unaligned.
-//
-//	magic    [4]byte  "PBC2"
-//	revision uvarint  (2)
-//	nodes    uvarint
-//	edges    uvarint
-//	labels   nodes x (uvarint len, bytes)
-//	outOff   (nodes+1) x uint32
-//	outEdges edges x (uint32 to, uint64 count, float64 bits plausibility)
-//	inOff    (nodes+1) x uint32
-//	inEdges  edges x (uint32 to, uint64 count, float64 bits plausibility)
-//	crc32    uint32 (IEEE, over everything before it)
-//
-// Revision 3 (current, what Save writes) is the memory-mappable layout:
-// a fixed-width header, a section table, and 8-byte-aligned sections —
-// a length-prefixed label arena plus the four CSR arrays — so a loader
-// may use the on-disk bytes directly as its in-memory arrays
-// (LoadMapped) instead of decoding them. See mapped.go for the layout
-// constants and the parser shared by the zero-copy and copying paths.
+// Graph snapshots use exactly one encoding: the "PBC2" container at
+// layout revision 3, which serialises the Frozen CSR layout so a loader
+// can memory-map it (see mapped.go for the layout and its parser, and
+// FORMATS.md for the byte-level specification). Any other magic or
+// revision is rejected with ErrBadSnapshot.
 //
 // The derived tables (label index, node classes, topo levels, depths)
-// are recomputed at load in every revision: they are cheap relative to
-// parsing and keeping them out of the file means the format cannot
-// disagree with itself about them.
+// are recomputed at load: they are cheap relative to parsing and
+// keeping them out of the file means the format cannot disagree with
+// itself about them.
 const (
 	csrMagic = "PBC2"
-	// csrRevLegacy is the unaligned varint-framed layout (read-only).
-	csrRevLegacy = 2
 	// csrRevArena is the aligned, arena-bearing, mappable layout.
 	csrRevArena = 3
 
 	maxSnapshotNodes = 1 << 28
 	maxSnapshotEdges = 1 << 28
 	maxLabelLen      = 1 << 20
+)
 
-	edgeRecordSize = 4 + 8 + 8
+var (
+	// ErrBadSnapshot reports a structurally invalid snapshot.
+	ErrBadSnapshot = errors.New("graph: bad snapshot")
+	// ErrChecksum reports snapshot corruption.
+	ErrChecksum = errors.New("graph: snapshot checksum mismatch")
 )
 
 // errBadSnapshotf wraps ErrBadSnapshot with a formatted detail message.
@@ -56,21 +41,19 @@ func errBadSnapshotf(format string, args ...any) error {
 	return fmt.Errorf("%w: "+format, append([]any{ErrBadSnapshot}, args...)...)
 }
 
-// WriteSnapshot writes a checksummed binary snapshot of g in the given
-// format version: 1 is the adjacency-list "PBGR" format readable by
-// Load, 2 the CSR "PBC2" format readable only by LoadFrozen.
-func WriteSnapshot(w io.Writer, g Reader, version int) error {
-	switch version {
-	case snapshotVersion:
-		return saveV1(w, g)
-	case csrRevLegacy:
-		// External "version 2" selects the PBC2 container; inside it we
-		// write the current layout revision (3, the mappable one).
-		return saveV3(w, frozenView(g))
-	default:
-		return fmt.Errorf("graph: unsupported snapshot version %d", version)
-	}
+type crcWriter struct {
+	w   *bufio.Writer
+	crc uint32
 }
+
+func (cw *crcWriter) Write(p []byte) (int, error) {
+	cw.crc = crc32.Update(cw.crc, crc32.IEEETable, p)
+	return cw.w.Write(p)
+}
+
+// WriteSnapshot writes a checksummed PBC2 snapshot of g, freezing it
+// first unless it already is a Frozen view.
+func WriteSnapshot(w io.Writer, g Reader) error { return saveV3(w, frozenView(g)) }
 
 // frozenView returns g's CSR form, freezing (via a thaw for foreign
 // Reader implementations) only when g is not already Frozen.
@@ -85,57 +68,9 @@ func frozenView(g Reader) *Frozen {
 	}
 }
 
-// Save writes the frozen view as a v2 "PBC2" snapshot (layout
-// revision 3, the mappable one).
+// Save writes the frozen view as a PBC2 snapshot. The encoding is
+// canonical: equal graphs produce equal bytes.
 func (f *Frozen) Save(w io.Writer) error { return saveV3(w, f) }
-
-// saveV2Legacy writes the unaligned revision-2 layout. The production
-// writer moved to revision 3; this stays so tests can pin that old
-// revision-2 artifacts remain loadable.
-func saveV2Legacy(w io.Writer, f *Frozen) error {
-	bw := bufio.NewWriter(w)
-	cw := &crcWriter{w: bw}
-	if _, err := cw.Write([]byte(csrMagic)); err != nil {
-		return err
-	}
-	if err := writeUvarint(cw, csrRevLegacy); err != nil {
-		return err
-	}
-	n := f.NumNodes()
-	if err := writeUvarint(cw, uint64(n)); err != nil {
-		return err
-	}
-	if err := writeUvarint(cw, uint64(len(f.outEdges))); err != nil {
-		return err
-	}
-	for id := 0; id < n; id++ {
-		l := f.Label(NodeID(id))
-		if err := writeUvarint(cw, uint64(len(l))); err != nil {
-			return err
-		}
-		if _, err := cw.Write([]byte(l)); err != nil {
-			return err
-		}
-	}
-	if err := writeUint32s(cw, f.outOff); err != nil {
-		return err
-	}
-	if err := writeEdges(cw, f.outEdges); err != nil {
-		return err
-	}
-	if err := writeUint32s(cw, f.inOff); err != nil {
-		return err
-	}
-	if err := writeEdges(cw, f.inEdges); err != nil {
-		return err
-	}
-	var crcBuf [4]byte
-	binary.LittleEndian.PutUint32(crcBuf[:], cw.crc)
-	if _, err := bw.Write(crcBuf[:]); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
 
 func writeUint32s(w io.Writer, vs []uint32) error {
 	var buf [4]byte
@@ -148,164 +83,45 @@ func writeUint32s(w io.Writer, vs []uint32) error {
 	return nil
 }
 
-func writeEdges(w io.Writer, es []Edge) error {
-	var buf [edgeRecordSize]byte
-	for _, e := range es {
-		binary.LittleEndian.PutUint32(buf[0:4], uint32(e.To))
-		binary.LittleEndian.PutUint64(buf[4:12], uint64(e.Count))
-		binary.LittleEndian.PutUint64(buf[12:20], math.Float64bits(e.Plausibility))
-		if _, err := w.Write(buf[:]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// LoadFrozen reads a snapshot in any supported format and returns the
-// CSR view: "PBC2" decodes straight into the flat arrays (both layout
-// revisions), while legacy "PBGR" loads through the mutable store and
-// freezes (freeze-on-load). The format is sniffed from buffered magic
-// bytes, so r need not be seekable. This is the copying loader; for
-// the zero-copy path over a memory-mapped file, see LoadMapped.
+// LoadFrozen reads a whole snapshot from r and decodes it onto the
+// heap. r need not be seekable. This is the copying loader; for the
+// zero-copy path over a memory-mapped file, see LoadMapped.
 func LoadFrozen(r io.Reader) (*Frozen, error) {
-	br := bufio.NewReader(r)
-	magic, err := br.Peek(4)
+	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %d-byte input is too short for a snapshot magic: %v",
-			ErrBadSnapshot, len(magic), err)
+		return nil, errBadSnapshotf("reading stream: %v", err)
 	}
-	switch string(magic) {
-	case csrMagic:
-		// The layout revision directly follows the magic (one uvarint
-		// byte for every known revision). Revision 3 is a fixed-width
-		// random-access layout, so it parses from a byte slice; the
-		// varint-framed revision 2 streams through the bufio reader.
-		if head, err := br.Peek(5); err == nil && head[4] == csrRevArena {
-			data, err := io.ReadAll(br)
-			if err != nil {
-				return nil, fmt.Errorf("%w: reading stream: %v", ErrBadSnapshot, err)
-			}
-			return parseV3(data, false)
-		}
-		return loadCSR(br)
-	case snapshotMagic:
-		b, err := Load(br)
-		if err != nil {
-			return nil, err
-		}
-		return b.Freeze(), nil
-	default:
-		return nil, fmt.Errorf("%w: magic %q", ErrBadSnapshot, magic)
-	}
+	return parseV3(data, false)
 }
 
-func loadCSR(br *bufio.Reader) (*Frozen, error) {
-	cr := &crcReader{r: br}
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(cr, magic); err != nil {
-		return nil, fmt.Errorf("%w: magic: %v", ErrBadSnapshot, err)
-	}
-	if string(magic) != csrMagic {
-		return nil, fmt.Errorf("%w: magic %q", ErrBadSnapshot, magic)
-	}
-	version, err := binary.ReadUvarint(cr)
-	if err != nil {
-		return nil, fmt.Errorf("%w: version: %v", ErrBadSnapshot, err)
-	}
-	if version != csrRevLegacy {
-		return nil, fmt.Errorf("%w: unsupported PBC2 layout revision %d", ErrBadSnapshot, version)
-	}
-	nodes, err := binary.ReadUvarint(cr)
-	if err != nil || nodes > maxSnapshotNodes {
-		return nil, fmt.Errorf("%w: node count", ErrBadSnapshot)
-	}
-	edges, err := binary.ReadUvarint(cr)
-	if err != nil || edges > maxSnapshotEdges {
-		return nil, fmt.Errorf("%w: edge count", ErrBadSnapshot)
-	}
-	// Labels stream straight into an owned arena: offsets first, bytes
-	// appended — the same representation a mapped view gets for free.
-	arena := labelArena{off: make([]uint32, 1, nodes+1)}
-	for i := uint64(0); i < nodes; i++ {
-		ln, err := binary.ReadUvarint(cr)
-		if err != nil || ln > maxLabelLen {
-			return nil, fmt.Errorf("%w: label length", ErrBadSnapshot)
-		}
-		start := len(arena.data)
-		arena.data = append(arena.data, make([]byte, ln)...)
-		if _, err := io.ReadFull(cr, arena.data[start:]); err != nil {
-			return nil, fmt.Errorf("%w: label bytes: %v", ErrBadSnapshot, err)
-		}
-		arena.off = append(arena.off, uint32(len(arena.data)))
-	}
-	f := &Frozen{arena: arena}
-	if f.outOff, err = readUint32s(cr, nodes+1); err != nil {
-		return nil, fmt.Errorf("%w: out offsets: %v", ErrBadSnapshot, err)
-	}
-	if f.outEdges, err = readEdges(cr, edges); err != nil {
-		return nil, fmt.Errorf("%w: out edges: %v", ErrBadSnapshot, err)
-	}
-	if f.inOff, err = readUint32s(cr, nodes+1); err != nil {
-		return nil, fmt.Errorf("%w: in offsets: %v", ErrBadSnapshot, err)
-	}
-	if f.inEdges, err = readEdges(cr, edges); err != nil {
-		return nil, fmt.Errorf("%w: in edges: %v", ErrBadSnapshot, err)
-	}
-	want := cr.crc
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(cr.r, crcBuf[:]); err != nil {
-		return nil, fmt.Errorf("%w: trailer: %v", ErrBadSnapshot, err)
-	}
-	if binary.LittleEndian.Uint32(crcBuf[:]) != want {
-		return nil, ErrChecksum
-	}
-	return finishLoadedCSR(f)
-}
-
-// finishLoadedCSR runs the structural validation and derived-table
-// computation shared by every CSR loader (streaming rev2, copying rev3,
-// zero-copy mapped rev3): offsets/sortedness, transpose cross-check,
-// finish, and the duplicate-label scan over the sorted table.
-func finishLoadedCSR(f *Frozen) (*Frozen, error) {
-	if err := validateCSR(f, "out", f.outOff, f.outEdges); err != nil {
-		return nil, err
-	}
-	if err := validateCSR(f, "in", f.inOff, f.inEdges); err != nil {
-		return nil, err
-	}
-	if err := validateTranspose(f); err != nil {
-		return nil, err
-	}
-	f.finish()
-	for i := 1; i < len(f.sorted); i++ {
-		if f.Label(f.sorted[i-1]) == f.Label(f.sorted[i]) {
-			return nil, fmt.Errorf("%w: duplicate label %q", ErrBadSnapshot, f.Label(f.sorted[i]))
-		}
-	}
-	return f, nil
-}
-
-// validateCSR checks one direction's offset table and edge array before
-// anything slices into them: offsets must start at 0, be nondecreasing,
-// fit the edge array exactly, and every row must be strictly
-// To-ascending with in-range targets.
-func validateCSR(f *Frozen, dir string, off []uint32, edges []Edge) error {
-	n := f.NumNodes()
-	if off[0] != 0 || off[n] != uint32(len(edges)) {
-		return fmt.Errorf("%w: %s offsets do not span edge array", ErrBadSnapshot, dir)
+// validateCSR checks one direction's offset table and raw edge records
+// before anything slices into them: offsets must start at 0, be
+// nondecreasing and span the records exactly, and every row must be
+// strictly To-ascending with in-range targets and a zero reserved word.
+func validateCSR(n int, dir string, off []uint32, recs []byte) error {
+	count := uint32(len(recs) / v3EdgeRecordSize)
+	if off[0] != 0 || off[n] != count {
+		return errBadSnapshotf("%s offsets do not span edge array", dir)
 	}
 	for i := 0; i < n; i++ {
 		lo, hi := off[i], off[i+1]
-		if lo > hi {
-			return fmt.Errorf("%w: %s offsets decrease at node %d", ErrBadSnapshot, dir, i)
+		if lo > hi || hi > count {
+			return errBadSnapshotf("%s offsets out of order at node %d", dir, i)
 		}
+		var prev uint32
 		for j := lo; j < hi; j++ {
-			if edges[j].To >= NodeID(n) {
-				return fmt.Errorf("%w: %s edge target out of range at node %d", ErrBadSnapshot, dir, i)
+			rec := recs[v3EdgeRecordSize*int(j):]
+			to := binary.LittleEndian.Uint32(rec[0:4])
+			if to >= uint32(n) {
+				return errBadSnapshotf("%s edge target out of range at node %d", dir, i)
 			}
-			if j > lo && edges[j].To <= edges[j-1].To {
-				return fmt.Errorf("%w: %s row of node %d not sorted", ErrBadSnapshot, dir, i)
+			if j > lo && to <= prev {
+				return errBadSnapshotf("%s row of node %d not sorted", dir, i)
 			}
+			if binary.LittleEndian.Uint32(rec[4:8]) != 0 {
+				return errBadSnapshotf("%s edge of node %d has a nonzero reserved word", dir, i)
+			}
+			prev = to
 		}
 	}
 	return nil
@@ -327,52 +143,4 @@ func validateTranspose(f *Frozen) error {
 		}
 	}
 	return nil
-}
-
-func readUint32s(cr *crcReader, count uint64) ([]uint32, error) {
-	const chunk = 16384
-	out := make([]uint32, 0, minU64(count, chunk))
-	buf := make([]byte, 4*chunk)
-	for count > 0 {
-		k := minU64(count, chunk)
-		b := buf[:4*k]
-		if _, err := io.ReadFull(cr, b); err != nil {
-			return nil, err
-		}
-		for i := uint64(0); i < k; i++ {
-			out = append(out, binary.LittleEndian.Uint32(b[4*i:]))
-		}
-		count -= k
-	}
-	return out, nil
-}
-
-func readEdges(cr *crcReader, count uint64) ([]Edge, error) {
-	const chunk = 3276 // ~64 KiB of records per read
-	out := make([]Edge, 0, minU64(count, chunk))
-	buf := make([]byte, edgeRecordSize*chunk)
-	for count > 0 {
-		k := minU64(count, chunk)
-		b := buf[:edgeRecordSize*k]
-		if _, err := io.ReadFull(cr, b); err != nil {
-			return nil, err
-		}
-		for i := uint64(0); i < k; i++ {
-			rec := b[edgeRecordSize*i:]
-			out = append(out, Edge{
-				To:           NodeID(binary.LittleEndian.Uint32(rec[0:4])),
-				Count:        int64(binary.LittleEndian.Uint64(rec[4:12])),
-				Plausibility: math.Float64frombits(binary.LittleEndian.Uint64(rec[12:20])),
-			})
-		}
-		count -= k
-	}
-	return out, nil
-}
-
-func minU64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }

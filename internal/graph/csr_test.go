@@ -31,79 +31,24 @@ func TestSaveV2RoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadFrozenReadsV1 is the freeze-on-load path: a legacy "PBGR"
-// snapshot must load into a Frozen equal to loading it mutably and
-// freezing.
-func TestLoadFrozenReadsV1(t *testing.T) {
-	b := randomDAG(80, 250, 11)
-	var v1 bytes.Buffer
-	if err := b.Save(&v1); err != nil {
-		t.Fatal(err)
-	}
-	f, err := LoadFrozen(bytes.NewReader(v1.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertReadersEqual(t, b.Freeze(), f)
-}
-
-// TestWriteSnapshotVersions: both versions written through the generic
-// entry point load back to the same graph; unknown versions error.
-func TestWriteSnapshotVersions(t *testing.T) {
+// TestWriteSnapshotMatchesFrozenSave: WriteSnapshot freezes a Builder
+// or thaws-and-freezes a foreign Reader; either way the bytes are the
+// canonical encoding Frozen.Save writes.
+func TestWriteSnapshotMatchesFrozenSave(t *testing.T) {
 	b := randomDAG(60, 150, 13)
-	want := b.Freeze()
-	for _, version := range []int{1, 2} {
-		var buf bytes.Buffer
-		if err := WriteSnapshot(&buf, b, version); err != nil {
-			t.Fatalf("v%d: %v", version, err)
+	var want bytes.Buffer
+	if err := b.Freeze().Save(&want); err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range map[string]Reader{"builder": b, "foreign reader": struct{ Reader }{b}} {
+		if got := snapBytes(t, g); !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("%s: WriteSnapshot bytes differ from Frozen.Save", name)
 		}
-		got, err := LoadFrozen(&buf)
-		if err != nil {
-			t.Fatalf("v%d: %v", version, err)
-		}
-		assertReadersEqual(t, want, got)
 	}
-	if err := WriteSnapshot(&bytes.Buffer{}, b, 3); err == nil {
-		t.Error("unknown snapshot version accepted")
-	}
-}
-
-// TestSnapshotsAgreeAcrossVersions: v1 and v2 snapshots of one graph
-// answer every Reader query identically after loading.
-func TestSnapshotsAgreeAcrossVersions(t *testing.T) {
-	b := randomDAG(100, 300, 17)
-	var v1, v2 bytes.Buffer
-	if err := WriteSnapshot(&v1, b, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteSnapshot(&v2, b, 2); err != nil {
-		t.Fatal(err)
-	}
-	f1, err := LoadFrozen(&v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f2, err := LoadFrozen(&v2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertReadersEqual(t, f1, f2)
-}
-
-// validV2 returns a valid v2 snapshot to corrupt in the rejection
-// tests.
-func validV2(t *testing.T) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	f := randomDAG(30, 80, 19).Freeze()
-	if err := f.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
 }
 
 func TestLoadFrozenRejectsCorruption(t *testing.T) {
-	snap := validV2(t)
+	snap := validV3(t)
 	cases := map[string][]byte{
 		"empty":       {},
 		"magic only":  snap[:4],
@@ -129,7 +74,7 @@ func TestLoadFrozenRejectsCorruption(t *testing.T) {
 }
 
 func TestLoadFrozenBadChecksumError(t *testing.T) {
-	snap := validV2(t)
+	snap := validV3(t)
 	flipped := append([]byte(nil), snap...)
 	flipped[len(flipped)-1] ^= 0xFF
 	if _, err := LoadFrozen(bytes.NewReader(flipped)); !errors.Is(err, ErrChecksum) {
@@ -140,35 +85,25 @@ func TestLoadFrozenBadChecksumError(t *testing.T) {
 // TestLoadFrozenRejectsHugeCounts: implausible node/edge counts must be
 // rejected before any large allocation is attempted.
 func TestLoadFrozenRejectsHugeCounts(t *testing.T) {
-	var huge bytes.Buffer
-	huge.WriteString(csrMagic)
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], csrRevLegacy)
-	huge.Write(tmp[:n])
-	n = binary.PutUvarint(tmp[:], 1<<40) // nodes
-	huge.Write(tmp[:n])
-	if _, err := LoadFrozen(bytes.NewReader(huge.Bytes())); !errors.Is(err, ErrBadSnapshot) {
-		t.Fatalf("err = %v, want ErrBadSnapshot", err)
+	for name, field := range map[string]int{"nodes": 8, "edges": 16} {
+		huge := validV3(t)
+		binary.LittleEndian.PutUint64(huge[field:], 1<<40)
+		refreshCRC(huge)
+		if _, err := LoadFrozen(bytes.NewReader(huge)); !errors.Is(err, ErrBadSnapshot) {
+			t.Errorf("%s: err = %v, want ErrBadSnapshot", name, err)
+		}
 	}
 }
 
-// TestLoadFrozenNonSeekable: LoadFrozen must work on a pure stream
-// (no Seek, no ReadByte) for both formats.
+// TestLoadFrozenNonSeekable: LoadFrozen must work on a pure stream (no
+// Seek, no ReadByte).
 func TestLoadFrozenNonSeekable(t *testing.T) {
 	b := randomDAG(40, 100, 23)
-	for _, version := range []int{1, 2} {
-		var buf bytes.Buffer
-		if err := WriteSnapshot(&buf, b, version); err != nil {
-			t.Fatal(err)
-		}
-		f, err := LoadFrozen(onlyReader{&buf})
-		if err != nil {
-			t.Fatalf("v%d from stream: %v", version, err)
-		}
-		if f.NumNodes() != b.NumNodes() {
-			t.Fatalf("v%d: nodes = %d, want %d", version, f.NumNodes(), b.NumNodes())
-		}
+	f, err := LoadFrozen(onlyReader{bytes.NewBuffer(snapBytes(t, b))})
+	if err != nil {
+		t.Fatal(err)
 	}
+	assertReadersEqual(t, b, f)
 }
 
 // onlyReader hides every interface except io.Reader.

@@ -21,7 +21,7 @@ import (
 // LoadFrozen or LoadMapped; there is no way to mutate it afterwards.
 //
 // A Frozen's labels, offset tables and edge arrays are either owned
-// heap slices (Freeze, the copying loaders) or zero-copy views into a
+// heap slices (Freeze, LoadFrozen) or zero-copy views into a
 // memory-mapped snapshot (LoadMapped). Both backings sit behind the
 // same accessors, so nothing downstream can tell them apart — except
 // that a mapped Frozen must be Closed once the last reader is done,
@@ -111,7 +111,7 @@ func flattenAdjacency(rows [][]Edge) ([]uint32, []Edge) {
 
 // finish derives everything beyond labels and CSR arrays: the lookup
 // tables and the precomputed node classes, levels and depths. Shared by
-// Freeze and the v2 snapshot loader.
+// Freeze and the snapshot parser.
 func (f *Frozen) finish() {
 	n := f.arena.count()
 	f.outTo = targetsOf(f.outEdges)

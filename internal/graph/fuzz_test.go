@@ -2,13 +2,14 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 )
 
 // fuzzSeedStore builds a small valid store whose snapshot seeds the
 // fuzz corpus.
-func fuzzSeedStore() *Store {
-	s := NewStore()
+func fuzzSeedStore() *Builder {
+	s := NewBuilder()
 	company := s.Intern("company")
 	it := s.Intern("it company")
 	ibm := s.Intern("IBM")
@@ -20,126 +21,76 @@ func fuzzSeedStore() *Store {
 	return s
 }
 
-// FuzzLoad feeds arbitrary bytes to the snapshot loader. Corrupt or
-// truncated input must produce an error — never a panic, a hang, or an
-// implausible allocation. A successful load must round-trip.
-func FuzzLoad(f *testing.F) {
+// FuzzLoadFrozen feeds arbitrary bytes to both snapshot loaders.
+// Truncation, corrupt offsets and mismatched counts must error — never
+// panic, hang or allocate implausibly — and the two loaders must agree
+// on accept/reject. Every input runs a second time with its CRC trailer
+// recomputed, so mutations reach the structural validator instead of
+// stopping at the checksum. Accepted input must re-save byte-for-byte:
+// a graph has exactly one valid encoding.
+func FuzzLoadFrozen(f *testing.F) {
 	var valid bytes.Buffer
-	if err := fuzzSeedStore().Save(&valid); err != nil {
+	if err := fuzzSeedStore().Freeze().Save(&valid); err != nil {
 		f.Fatal(err)
 	}
 	snap := valid.Bytes()
+	sectionOff := func(i int) int { return int(binary.LittleEndian.Uint64(snap[32+16*i:])) }
+	sectionEnd := func(i int) int { return sectionOff(i) + int(binary.LittleEndian.Uint64(snap[40+16*i:])) }
+	mutate := func(off int, b byte) []byte {
+		m := append([]byte(nil), snap...)
+		m[off] = b
+		return m
+	}
 	f.Add(snap)
-	f.Add(snap[:len(snap)/2])           // truncated
-	f.Add(snap[:4])                     // magic only
-	f.Add([]byte{})                     // empty
-	f.Add([]byte("PBGRxxxxxxxxxxxxxx")) // magic + garbage
-	f.Add([]byte("XXXX"))               // wrong magic
-	corrupt := append([]byte(nil), snap...)
-	corrupt[len(corrupt)-1] ^= 0xFF // broken checksum
-	f.Add(corrupt)
-	bigNodes := append([]byte("PBGR\x01"), 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F) // huge node count
-	f.Add(bigNodes)
+	f.Add(snap[:len(snap)/2])                          // truncated mid-arena
+	f.Add(snap[:4])                                    // magic only
+	f.Add([]byte{})                                    // empty
+	f.Add([]byte("PBC2xxxxx"))                         // magic + garbage
+	f.Add([]byte("XXXX"))                              // wrong magic
+	f.Add(mutate(len(snap)-1, ^snap[len(snap)-1]))     // broken checksum
+	f.Add(mutate(len(snap)/2, snap[len(snap)/2]^0x55)) // corrupt offsets / edge region
+	f.Add(mutate(40, snap[40]^0x01))                   // corrupt the section table
+	f.Add(mutate(9, 0xFF))                             // implausible node count
+	f.Add([]byte("PBC2\x03\x00\x00\x00"))              // header cut before the counts
+	f.Add(mutate(sectionOff(3)+4, 0x07))               // nonzero reserved word
+	f.Add(mutate(sectionEnd(1), 0x07))                 // nonzero padding after the labels
+	f.Add(mutate(4, 0x02))                             // retired PBC2 revision 2
+	f.Add(append([]byte("PBGR\x01"), snap[5:]...))     // retired PBGR magic
+	f.Add(mutate(sectionOff(2)+12, 0xFF))              // an out row running past the edges
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<20 {
 			t.Skip("oversized input")
 		}
-		s, err := Load(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		// A snapshot the loader accepts must itself re-save and re-load.
-		var buf bytes.Buffer
-		if err := s.Save(&buf); err != nil {
-			t.Fatalf("accepted snapshot fails to save: %v", err)
-		}
-		s2, err := Load(&buf)
-		if err != nil {
-			t.Fatalf("round-trip load failed: %v", err)
-		}
-		if s2.NumNodes() != s.NumNodes() || s2.NumEdges() != s.NumEdges() {
-			t.Fatalf("round-trip changed shape: %d/%d -> %d/%d nodes/edges",
-				s.NumNodes(), s.NumEdges(), s2.NumNodes(), s2.NumEdges())
+		checkLoaders(t, data)
+		if len(data) >= 4 {
+			fixed := append([]byte(nil), data...)
+			refreshCRC(fixed)
+			checkLoaders(t, fixed)
 		}
 	})
 }
 
-// FuzzLoadFrozen feeds arbitrary bytes to the CSR-aware loader, which
-// accepts both the v2 "PBC2" section and legacy v1 "PBGR" snapshots.
-// Truncation, corrupt offsets and mismatched counts must error — never
-// panic, hang or allocate implausibly. Accepted input must round-trip
-// through the v2 writer.
-func FuzzLoadFrozen(f *testing.F) {
-	fz := fuzzSeedStore().Freeze()
-	var v2 bytes.Buffer
-	if err := fz.Save(&v2); err != nil {
-		f.Fatal(err)
+// checkLoaders runs data through LoadMapped and LoadFrozen: they must
+// agree on accept/reject, and whatever they accept must re-save to
+// exactly data.
+func checkLoaders(t *testing.T, data []byte) {
+	t.Helper()
+	fm, errM := LoadMapped(append([]byte(nil), data...), nil)
+	fz, err := LoadFrozen(bytes.NewReader(data))
+	if (err == nil) != (errM == nil) {
+		t.Fatalf("loaders disagree: LoadFrozen err=%v, LoadMapped err=%v", err, errM)
 	}
-	var v1 bytes.Buffer
-	if err := fuzzSeedStore().Save(&v1); err != nil {
-		f.Fatal(err)
+	if err != nil {
+		return
 	}
-	var rev2 bytes.Buffer
-	if err := saveV2Legacy(&rev2, fz); err != nil {
-		f.Fatal(err)
-	}
-	snap := v2.Bytes() // revision 3 (arena-bearing): what Save writes today
-	f.Add(snap)
-	f.Add(rev2.Bytes())        // legacy revision-2 layout
-	f.Add(v1.Bytes())          // legacy format through freeze-on-load
-	f.Add(snap[:len(snap)/2])  // truncated mid-arena
-	f.Add(snap[:4])            // magic only
-	f.Add([]byte{})            // empty
-	f.Add([]byte("PBC2xxxxx")) // magic + garbage
-	f.Add([]byte("XXXX"))      // wrong magic
-	corrupt := append([]byte(nil), snap...)
-	corrupt[len(corrupt)-1] ^= 0xFF // broken checksum
-	f.Add(corrupt)
-	offsets := append([]byte(nil), snap...)
-	offsets[len(offsets)/2] ^= 0x55 // corrupt offsets / edge region
-	f.Add(offsets)
-	table := append([]byte(nil), snap...)
-	table[40] ^= 0x01 // corrupt the rev-3 section table
-	f.Add(table)
-	header := append([]byte(nil), snap...)
-	header[9] = 0xFF // implausible fixed-width node count
-	f.Add(header)
-	bigNodes := append([]byte("PBC2\x02"), 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F) // huge varint node count
-	f.Add(bigNodes)
-	bigEdges := append([]byte("PBC2\x02\x01"), 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F) // huge varint edge count
-	f.Add(bigEdges)
-	f.Add([]byte("PBC2\x03\x00\x00\x00")) // rev-3 header cut before the counts
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 1<<20 {
-			t.Skip("oversized input")
-		}
-		// The mapped loader sees the same adversarial bytes as the
-		// streaming one and must agree on accept/reject.
-		fm, errM := LoadMapped(append([]byte(nil), data...), nil)
-		fz, err := LoadFrozen(bytes.NewReader(data))
-		if (err == nil) != (errM == nil) {
-			t.Fatalf("loaders disagree: LoadFrozen err=%v, LoadMapped err=%v", err, errM)
-		}
-		if err != nil {
-			return
-		}
-		if fm.NumNodes() != fz.NumNodes() || fm.NumEdges() != fz.NumEdges() {
-			t.Fatalf("mapped loader shape %d/%d != streamed %d/%d",
-				fm.NumNodes(), fm.NumEdges(), fz.NumNodes(), fz.NumEdges())
-		}
+	for name, g := range map[string]*Frozen{"LoadFrozen": fz, "LoadMapped": fm} {
 		var buf bytes.Buffer
-		if err := fz.Save(&buf); err != nil {
-			t.Fatalf("accepted snapshot fails to save: %v", err)
+		if err := g.Save(&buf); err != nil {
+			t.Fatalf("%s: accepted snapshot fails to save: %v", name, err)
 		}
-		fz2, err := LoadFrozen(&buf)
-		if err != nil {
-			t.Fatalf("round-trip load failed: %v", err)
+		if !bytes.Equal(buf.Bytes(), data) {
+			t.Fatalf("%s: accepted snapshot does not re-save byte-for-byte", name)
 		}
-		if fz2.NumNodes() != fz.NumNodes() || fz2.NumEdges() != fz.NumEdges() {
-			t.Fatalf("round-trip changed shape: %d/%d -> %d/%d nodes/edges",
-				fz.NumNodes(), fz.NumEdges(), fz2.NumNodes(), fz2.NumEdges())
-		}
-	})
+	}
 }

@@ -21,12 +21,10 @@
 // thaws any Reader back into a Builder when edges must be added again
 // (taxonomy merging).
 //
-// Two checksummed binary snapshot formats are supported: v1 "PBGR"
-// (adjacency-list, written by Builder.Save) and v2 "PBC2" (the CSR
-// layout serialised directly, written by Frozen.Save and loaded with a
-// sequential read into preallocated flat arrays). LoadFrozen
-// auto-detects the format; v1 snapshots load through a freeze-on-load
-// path so existing artifacts stay valid.
+// Snapshots have one checksummed binary encoding, "PBC2": the CSR
+// layout serialised directly, written by Frozen.Save (or WriteSnapshot
+// for any Reader) and read back by LoadFrozen (copying) or LoadMapped
+// (zero-copy over a memory-mapped file).
 package graph
 
 import (

@@ -11,7 +11,7 @@ import (
 // directions drifted apart. With the unconditional dual upsert the
 // mirror can no longer be skipped.
 func TestAddEdgeMirrorRegression(t *testing.T) {
-	s := NewStore()
+	s := NewBuilder()
 	a, b := s.Intern("a"), s.Intern("b")
 	s.AddEdge(a, b, 2, 0)
 	s.AddEdge(a, b, 3, 0.7) // the update path that used to be able to bail out
@@ -31,7 +31,7 @@ func TestAddEdgeMirrorRegression(t *testing.T) {
 // the transpose of `out` and both stay sorted.
 func TestAddEdgeMirrorInvariantRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	s := NewStore()
+	s := NewBuilder()
 	const nodes = 20
 	for i := 0; i < nodes; i++ {
 		s.Intern(string(rune('a' + i)))
@@ -51,7 +51,7 @@ func TestAddEdgeMirrorInvariantRandom(t *testing.T) {
 // assertMirror checks the AddEdge invariant: in is the exact transpose
 // of out (same counts and plausibilities), and every adjacency row is
 // strictly To-sorted.
-func assertMirror(t *testing.T, s *Store) {
+func assertMirror(t *testing.T, s *Builder) {
 	t.Helper()
 	type key struct{ from, to NodeID }
 	out := map[key]Edge{}

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"io"
@@ -10,10 +9,10 @@ import (
 	"unsafe"
 )
 
-// PBC2 layout revision 3 — the memory-mappable encoding. Unlike the
-// varint-framed revision 2, every structure here has a fixed width and
-// lives at an 8-byte-aligned offset, so a loader can point its
-// in-memory arrays straight at the file bytes instead of decoding them:
+// PBC2 layout revision 3 — the memory-mappable encoding. Every
+// structure has a fixed width and lives at an 8-byte-aligned offset, so
+// a loader can point its in-memory arrays straight at the file bytes
+// instead of decoding them:
 //
 //	offset 0    magic            [4]byte "PBC2"
 //	offset 4    revision         byte    0x03 (uvarint-compatible)
@@ -37,7 +36,8 @@ import (
 // array IS the in-memory array there. All integers little-endian. The
 // section table is canonical: offsets and lengths are fully determined
 // by (nodes, edges, label bytes), and the parser rejects any table that
-// deviates, so there is exactly one valid encoding of a given graph.
+// deviates, any nonzero padding and any nonzero reserved word, so there
+// is exactly one valid encoding of a given graph.
 // The full byte-level specification with a worked example is in
 // FORMATS.md.
 const (
@@ -147,17 +147,17 @@ func writeEdgeRecords(w io.Writer, es []Edge) error {
 	return nil
 }
 
-// parseV3 decodes a revision-3 snapshot held entirely in data. With
-// zeroCopy set (and a compatible host — see canZeroCopy) the returned
-// Frozen's arrays are views into data and the caller must keep data
-// valid until the Frozen is Closed; otherwise everything is copied onto
-// the heap and data may be discarded.
+// parseV3 decodes a snapshot held entirely in data; it is the only
+// graph snapshot decoder. With zeroCopy set (and a compatible host —
+// see canZeroCopy) the returned Frozen's arrays are views into data and
+// the caller must keep data valid until the Frozen is Closed; otherwise
+// everything is copied onto the heap and data may be discarded.
 func parseV3(data []byte, zeroCopy bool) (*Frozen, error) {
+	if len(data) >= 5 && (string(data[:4]) != csrMagic || data[4] != csrRevArena) {
+		return nil, errBadSnapshotf("header %q is not PBC2 revision 3", data[:5])
+	}
 	if len(data) < v3HeaderSize+4 {
 		return nil, errBadSnapshotf("%d bytes is too short for a revision-3 snapshot", len(data))
-	}
-	if string(data[0:4]) != csrMagic || data[4] != csrRevArena {
-		return nil, errBadSnapshotf("revision-3 header mismatch")
 	}
 	if data[5] != 0 || data[6] != 0 || data[7] != 0 {
 		return nil, errBadSnapshotf("nonzero header padding")
@@ -194,6 +194,13 @@ func parseV3(data []byte, zeroCopy bool) (*Frozen, error) {
 	if crc32.ChecksumIEEE(data[:len(data)-4]) != binary.LittleEndian.Uint32(data[len(data)-4:]) {
 		return nil, ErrChecksum
 	}
+	for i := 1; i < v3SectionCount; i++ {
+		for _, b := range data[secs[i-1].off+secs[i-1].length : secs[i].off] {
+			if b != 0 {
+				return nil, errBadSnapshotf("nonzero padding before section %d", i)
+			}
+		}
+	}
 
 	sec := func(i int) []byte { return data[secs[i].off : secs[i].off+secs[i].length] }
 	f := &Frozen{}
@@ -214,7 +221,23 @@ func parseV3(data []byte, zeroCopy bool) (*Frozen, error) {
 	if err := f.arena.validate(); err != nil {
 		return nil, err
 	}
-	return finishLoadedCSR(f)
+	n := f.NumNodes()
+	if err := validateCSR(n, "out", f.outOff, sec(3)); err != nil {
+		return nil, err
+	}
+	if err := validateCSR(n, "in", f.inOff, sec(5)); err != nil {
+		return nil, err
+	}
+	if err := validateTranspose(f); err != nil {
+		return nil, err
+	}
+	f.finish()
+	for i := 1; i < len(f.sorted); i++ {
+		if f.Label(f.sorted[i-1]) == f.Label(f.sorted[i]) {
+			return nil, errBadSnapshotf("duplicate label %q", f.Label(f.sorted[i]))
+		}
+	}
+	return f, nil
 }
 
 // canZeroCopy reports whether pointing Go slices at the raw snapshot
@@ -283,13 +306,12 @@ func decodeEdgeRecords(b []byte) []Edge {
 }
 
 // LoadMapped parses a snapshot held entirely in data — typically the
-// bytes of a memory-mapped file — and returns its Frozen view. For a
-// revision-3 "PBC2" snapshot on a compatible host the view's label
-// arena, offset tables and edge arrays alias data directly (zero-copy:
-// load cost is page faults, the graph stays off the Go heap, and the
-// page cache is shared across processes). Any other format, or an
-// incompatible host/unaligned buffer, falls back to the copying
-// decoders transparently.
+// bytes of a memory-mapped file — and returns its Frozen view. On a
+// compatible host the view's label arena, offset tables and edge arrays
+// alias data directly (zero-copy: load cost is page faults, the graph
+// stays off the Go heap, and the page cache is shared across
+// processes). An incompatible host or unaligned buffer falls back to
+// the copying decode transparently.
 //
 // LoadMapped takes ownership of closer (which may be nil): it is closed
 // immediately on error or when the fallback copied everything out, and
@@ -298,7 +320,7 @@ func decodeEdgeRecords(b []byte) []Edge {
 // keep every label string and edge slice obtained from it from
 // outliving Frozen.Close.
 func LoadMapped(data []byte, closer io.Closer) (*Frozen, error) {
-	f, err := loadFromBytes(data)
+	f, err := parseV3(data, true)
 	if err != nil {
 		if closer != nil {
 			closer.Close()
@@ -316,11 +338,4 @@ func LoadMapped(data []byte, closer io.Closer) (*Frozen, error) {
 		}
 	}
 	return f, nil
-}
-
-func loadFromBytes(data []byte) (*Frozen, error) {
-	if len(data) >= 5 && string(data[:4]) == csrMagic && data[4] == csrRevArena {
-		return parseV3(data, true)
-	}
-	return LoadFrozen(bytes.NewReader(data))
 }

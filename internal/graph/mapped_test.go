@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"hash/crc32"
 	"os"
@@ -94,46 +95,34 @@ func TestLoadMappedUnalignedFallsBack(t *testing.T) {
 	assertReadersEqual(t, want, f)
 }
 
-// TestLoadMappedLegacyFormats: the mapped entry point accepts every
-// snapshot format, falling back to the copying loaders for the
-// non-mappable ones.
+// TestLoadMappedLegacyFormats: the retired encodings — PBGR v1
+// adjacency lists and the unaligned PBC2 revision 2 — are rejected by
+// both loaders, not decoded. These are the bytes of `fruit → apple`
+// (count 3, plausibility 0.5) as those writers produced them.
 func TestLoadMappedLegacyFormats(t *testing.T) {
-	b := randomDAG(50, 140, 37)
-	want := b.Freeze()
-	var v1, rev2 bytes.Buffer
-	if err := b.Save(&v1); err != nil {
-		t.Fatal(err)
-	}
-	if err := saveV2Legacy(&rev2, want); err != nil {
-		t.Fatal(err)
-	}
-	for name, data := range map[string][]byte{"v1 PBGR": v1.Bytes(), "PBC2 rev2": rev2.Bytes()} {
+	for name, hexBytes := range map[string]string{
+		"v1 PBGR": "50424752010205667275697405617070" +
+			"6c6501010103000000000000e03f0000" +
+			"38bc58",
+		"PBC2 rev2": "5042433202020105667275697405617070" +
+			"6c65000000000100000001000000010000000300000000000000" +
+			"000000000000e03f" +
+			"000000000000000001000000000000000300000000000000" +
+			"000000000000e03f2f8b5b59",
+	} {
 		t.Run(name, func(t *testing.T) {
-			f, err := LoadMapped(data, nil)
+			data, err := hex.DecodeString(hexBytes)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if f.Mapped() {
-				t.Errorf("%s claims zero-copy", name)
+			if _, err := LoadMapped(data, nil); !errors.Is(err, ErrBadSnapshot) {
+				t.Errorf("LoadMapped: err = %v, want ErrBadSnapshot", err)
 			}
-			assertReadersEqual(t, want, f)
+			if _, err := LoadFrozen(bytes.NewReader(data)); !errors.Is(err, ErrBadSnapshot) {
+				t.Errorf("LoadFrozen: err = %v, want ErrBadSnapshot", err)
+			}
 		})
 	}
-}
-
-// TestSaveV2LegacyStillLoads pins backward compatibility: revision-2
-// artifacts written before the layout change must keep loading.
-func TestSaveV2LegacyStillLoads(t *testing.T) {
-	want := randomDAG(40, 120, 41).Freeze()
-	var buf bytes.Buffer
-	if err := saveV2Legacy(&buf, want); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadFrozen(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertReadersEqual(t, want, got)
 }
 
 // TestSaveV3Deterministic: the canonical layout means one graph has
@@ -241,12 +230,11 @@ func TestLoadMappedCloserOwnership(t *testing.T) {
 	})
 
 	t.Run("closed immediately on copy fallback", func(t *testing.T) {
-		var v1 bytes.Buffer
-		if err := randomDAG(10, 20, 47).Save(&v1); err != nil {
-			t.Fatal(err)
-		}
+		// An unaligned buffer cannot be mapped zero-copy.
+		unaligned := make([]byte, len(snap)+1)[1:]
+		copy(unaligned, snap)
 		c := &countingCloser{}
-		f, err := LoadMapped(v1.Bytes(), c)
+		f, err := LoadMapped(unaligned, c)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,17 +24,10 @@ type Builder struct {
 	scratch sync.Pool // *bfsScratch, reused across traversals
 }
 
-// Store is the historical name of the mutable graph store; kept as an
-// alias so construction-side code reads naturally either way.
-type Store = Builder
-
 // NewBuilder returns an empty mutable graph store.
 func NewBuilder() *Builder {
 	return &Builder{byLabel: make(map[string]NodeID)}
 }
-
-// NewStore returns an empty graph store. Alias of NewBuilder.
-func NewStore() *Builder { return NewBuilder() }
 
 // NewBuilderFrom returns a mutable copy of any Reader — the thaw
 // direction of Builder.Freeze, used when edges must be added to an

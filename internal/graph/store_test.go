@@ -7,8 +7,8 @@ import (
 
 // diamond builds: thing -> {animal, company}; animal -> {cat, dog};
 // company -> {IBM}; pet -> {cat}.
-func diamond() (*Store, map[string]NodeID) {
-	s := NewStore()
+func diamond() (*Builder, map[string]NodeID) {
+	s := NewBuilder()
 	ids := map[string]NodeID{}
 	for _, l := range []string{"thing", "animal", "company", "pet", "cat", "dog", "IBM"} {
 		ids[l] = s.Intern(l)
@@ -23,7 +23,7 @@ func diamond() (*Store, map[string]NodeID) {
 }
 
 func TestInternAndLookup(t *testing.T) {
-	s := NewStore()
+	s := NewBuilder()
 	a := s.Intern("alpha")
 	if got := s.Intern("alpha"); got != a {
 		t.Error("re-intern returned different id")
@@ -43,7 +43,7 @@ func TestInternAndLookup(t *testing.T) {
 }
 
 func TestAddEdgeAccumulates(t *testing.T) {
-	s := NewStore()
+	s := NewBuilder()
 	a, b := s.Intern("a"), s.Intern("b")
 	s.AddEdge(a, b, 2, 0)
 	s.AddEdge(a, b, 3, 0.5)
@@ -129,7 +129,7 @@ func TestTopoLevelsAndLevel(t *testing.T) {
 }
 
 func TestTopoLevelsDetectsCycle(t *testing.T) {
-	s := NewStore()
+	s := NewBuilder()
 	a, b := s.Intern("a"), s.Intern("b")
 	s.AddEdge(a, b, 1, 0)
 	s.AddEdge(b, a, 1, 0)
@@ -157,7 +157,7 @@ func TestDescendantsOfLeafEmpty(t *testing.T) {
 
 func TestDiamondDedup(t *testing.T) {
 	// a -> b, a -> c, b -> d, c -> d: d appears once in Descendants(a).
-	s := NewStore()
+	s := NewBuilder()
 	a, b, c, d := s.Intern("a"), s.Intern("b"), s.Intern("c"), s.Intern("d")
 	s.AddEdge(a, b, 1, 0)
 	s.AddEdge(a, c, 1, 0)

@@ -5,11 +5,11 @@ import (
 	"testing"
 )
 
-// snapBytes writes g as a v2 "PBC2" snapshot and returns the bytes.
+// snapBytes writes g as a snapshot and returns the bytes.
 func snapBytes(t *testing.T, g Reader) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, g, 2); err != nil {
+	if err := WriteSnapshot(&buf, g); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

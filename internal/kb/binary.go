@@ -20,14 +20,12 @@ import (
 //	           uvarint xRef, uvarint yRef, uvarint n,
 //	           uvarint evidence count, then per evidence:
 //	             uvarint pattern, float64 pageScore, uvarint listLen,
-//	             uvarint pos, byte negative, uvarint seq (version >= 2)
+//	             uvarint pos, byte negative, uvarint seq
 //	co       uvarint count, then per entry:
 //	           uvarint xRef, uvarint aRef, uvarint bRef, uvarint n
 //	crc32    uint32 (IEEE, over everything before it)
 //
-// Strings are interned once and referenced by index. Version 1 lacked
-// the per-evidence seq field; v1 snapshots load with zero seqs (legacy
-// arrival order), which is exactly the order they were written in.
+// Strings are interned once and referenced by index.
 const (
 	kbMagic   = "PBKB"
 	kbVersion = 2
@@ -253,8 +251,8 @@ func Load(r io.Reader) (*Store, error) {
 		return v, nil
 	}
 	version, err := getUv("version")
-	if err != nil || version < 1 || version > kbVersion {
-		return nil, fmt.Errorf("%w: version", ErrBadKBSnapshot)
+	if err != nil || version != kbVersion {
+		return nil, fmt.Errorf("%w: version %d, want %d", ErrBadKBSnapshot, version, kbVersion)
 	}
 	nstrs, err := getUv("string count")
 	if err != nil || nstrs > 1<<28 {
@@ -285,8 +283,7 @@ func Load(r io.Reader) (*Store, error) {
 	}
 	// The loader holds the only reference, so the store is built by direct
 	// field writes — no per-record locking. Save emits pairs grouped by
-	// super and evidence lists already in canonical Seq order (v1 files
-	// hold zero seqs in arrival order, which sorts identically), so rows
+	// super and evidence lists already in canonical Seq order, so rows
 	// land with one inner-map lookup and a plain append.
 	curX := ""
 	var curYs map[string]int64
@@ -361,13 +358,11 @@ func Load(r io.Reader) (*Store, error) {
 			}
 			ev.Negative = body[pos] == 1
 			pos++
-			if version >= 2 {
-				seq, err := getUv("evidence seq")
-				if err != nil {
-					return nil, err
-				}
-				ev.Seq = int64(seq)
+			seq, err := getUv("evidence seq")
+			if err != nil {
+				return nil, err
 			}
+			ev.Seq = int64(seq)
 			// A corrupt seq order would silently break the delta-build
 			// equivalence contract; fall back to sorted insertion.
 			if len(evs) > 0 && ev.Seq < evs[len(evs)-1].Seq {

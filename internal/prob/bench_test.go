@@ -9,9 +9,9 @@ import (
 	"repro/internal/kb"
 )
 
-func benchTaxonomy() *graph.Store {
+func benchTaxonomy() *graph.Builder {
 	rng := rand.New(rand.NewSource(1))
-	g := graph.NewStore()
+	g := graph.NewBuilder()
 	root := g.Intern("thing")
 	for c := 0; c < 60; c++ {
 		concept := g.Intern(fmt.Sprintf("concept%d", c))
@@ -33,9 +33,9 @@ func benchTaxonomy() *graph.Store {
 
 // layeredBenchGraph builds a deep layered DAG whose wide topological
 // levels are the axis the Algorithm 3 DP parallelizes over.
-func layeredBenchGraph(levels, width int) *graph.Store {
+func layeredBenchGraph(levels, width int) *graph.Builder {
 	rng := rand.New(rand.NewSource(7))
-	g := graph.NewStore()
+	g := graph.NewBuilder()
 	prev := []graph.NodeID{g.Intern("root")}
 	for l := 0; l < levels; l++ {
 		cur := make([]graph.NodeID, width)

@@ -146,7 +146,7 @@ func TestTrainDeltaMatchesFullTrain(t *testing.T) {
 
 func deltaGraphs() (*graph.Builder, *graph.Builder) {
 	build := func(withDelta bool) *graph.Builder {
-		g := graph.NewStore()
+		g := graph.NewBuilder()
 		id := func(l string) graph.NodeID { return g.Intern(l) }
 		g.AddEdge(id("thing"), id("company"), 30, 0.9)
 		g.AddEdge(id("thing"), id("animal"), 25, 0.9)

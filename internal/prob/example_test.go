@@ -11,7 +11,7 @@ import (
 // worker count. The reach table is byte-identical at every worker
 // count, so the parallel run answers exactly what the serial one would.
 func ExampleNew() {
-	g := graph.NewStore()
+	g := graph.NewBuilder()
 	company := g.Intern("company")
 	it := g.Intern("it company")
 	ms := g.Intern("Microsoft")
@@ -31,7 +31,7 @@ func ExampleNew() {
 // through a sub-concept promotes Microsoft over IBM despite fewer direct
 // sightings.
 func ExampleTypicality_InstancesOf() {
-	g := graph.NewStore()
+	g := graph.NewBuilder()
 	company := g.Intern("company")
 	it := g.Intern("it company")
 	ibm := g.Intern("IBM")
@@ -56,7 +56,7 @@ func ExampleTypicality_InstancesOf() {
 // ExampleTypicality_ConceptsOfSet reproduces the paper's Example 1: a
 // set of instances picks out the tightest concept describing all of them.
 func ExampleTypicality_ConceptsOfSet() {
-	g := graph.NewStore()
+	g := graph.NewBuilder()
 	country := g.Intern("country")
 	bric := g.Intern("BRIC country")
 	for _, c := range []string{"China", "India", "Brazil", "Russia"} {

@@ -13,8 +13,8 @@ import (
 //	company -> {IBM x50, Microsoft x40, Xyz Inc x1}
 //	company -> it company (x20) -> {Microsoft x30, IBM x10}
 //	company -> big company (x15) -> {Microsoft x20}
-func companyGraph() (*graph.Store, map[string]graph.NodeID) {
-	g := graph.NewStore()
+func companyGraph() (*graph.Builder, map[string]graph.NodeID) {
+	g := graph.NewBuilder()
 	ids := map[string]graph.NodeID{}
 	for _, l := range []string{"company", "it company", "big company", "IBM", "Microsoft", "Xyz Inc"} {
 		ids[l] = g.Intern(l)
@@ -98,7 +98,7 @@ func TestTypicalityIndirectEvidence(t *testing.T) {
 		t.Fatalf("full ranking top = %v", full[0])
 	}
 
-	flat := graph.NewStore()
+	flat := graph.NewBuilder()
 	c := flat.Intern("company")
 	ibm := flat.Intern("IBM")
 	ms := flat.Intern("Microsoft")
@@ -136,7 +136,7 @@ func TestConceptsOfAbstraction(t *testing.T) {
 func TestConceptsOfSetTightens(t *testing.T) {
 	// Paper Section 5.3.2: {India} is typically a country; {India, China,
 	// Brazil} together pick out the tighter concept.
-	g := graph.NewStore()
+	g := graph.NewBuilder()
 	country := g.Intern("country")
 	bric := g.Intern("bric country")
 	india := g.Intern("India")
@@ -176,7 +176,7 @@ func TestConceptsOfSetTightens(t *testing.T) {
 }
 
 func TestNewTypicalityRejectsCycle(t *testing.T) {
-	g := graph.NewStore()
+	g := graph.NewBuilder()
 	a, b := g.Intern("a"), g.Intern("b")
 	g.AddEdge(a, b, 1, 0.5)
 	g.AddEdge(b, a, 1, 0.5)

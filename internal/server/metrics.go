@@ -1,8 +1,6 @@
 package server
 
 import (
-	"encoding/json"
-	"fmt"
 	"net/http"
 	"strconv"
 
@@ -41,13 +39,11 @@ type endpointMetrics struct {
 
 // Metrics is the server's observability surface, backed by a private
 // obs.Registry (multiple servers in one process, as in tests, must not
-// collide on global names). It renders two ways: the Prometheus text
-// exposition on /metrics (PrometheusHandler) and the legacy expvar-
-// style JSON tree on /debug/vars (Handler).
+// collide on global names). It renders as the Prometheus text
+// exposition on /metrics (PrometheusHandler).
 type Metrics struct {
 	reg       *obs.Registry
 	endpoints map[string]*endpointMetrics
-	names     []string
 	inflight  *obs.Gauge
 	// Snapshot hot-swap cache purges: how many swaps have purged the
 	// hot-query cache, and how many entries the latest purge evicted.
@@ -62,7 +58,6 @@ func newMetrics(endpoints []string) *Metrics {
 	m := &Metrics{
 		reg:       reg,
 		endpoints: make(map[string]*endpointMetrics, len(endpoints)),
-		names:     endpoints,
 		inflight:  reg.Gauge(famInflight, "Requests currently being served."),
 		cachePurges: reg.Counter(famPurges,
 			"Hot-query cache purges (one per snapshot hot-swap)."),
@@ -145,53 +140,3 @@ func (m *Metrics) Registry() *obs.Registry { return m.reg }
 
 // PrometheusHandler serves the Prometheus text exposition.
 func (m *Metrics) PrometheusHandler() http.Handler { return m.reg.Handler() }
-
-// Handler serves the metrics tree as JSON, like the stdlib's
-// /debug/vars but scoped to this server instance. Retained for
-// human-friendly inspection; Prometheus scrapers use /metrics.
-func (m *Metrics) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		tree := map[string]any{"inflight": m.inflight.Value()}
-		for _, name := range m.names {
-			em := m.endpoints[name]
-			s := em.latency.Snapshot()
-			lat := make(map[string]any, len(s.Bounds)+4)
-			cum := int64(0)
-			for i, b := range s.Bounds {
-				cum += s.Counts[i]
-				lat["le_"+strconv.FormatFloat(b, 'g', -1, 64)] = cum
-			}
-			lat["le_+Inf"] = cum + s.Counts[len(s.Bounds)]
-			lat["count"] = s.Count
-			lat["sum_seconds"] = s.Sum
-			// Latest exemplar per bucket: trace IDs joining slow buckets
-			// to /debug/traces waterfalls.
-			exemplars := map[string]any{}
-			for i, ex := range s.Exemplars {
-				if ex == nil {
-					continue
-				}
-				le := "+Inf"
-				if i < len(s.Bounds) {
-					le = strconv.FormatFloat(s.Bounds[i], 'g', -1, 64)
-				}
-				exemplars["le_"+le] = ex
-			}
-			if len(exemplars) > 0 {
-				lat["exemplars"] = exemplars
-			}
-			tree[name] = map[string]any{
-				"requests":     em.requests.Value(),
-				"errors":       em.errors.Value(),
-				"cache_hits":   em.cacheHits.Value(),
-				"cache_misses": em.cacheMiss.Value(),
-				"latency":      lat,
-			}
-		}
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		enc := json.NewEncoder(w)
-		if err := enc.Encode(tree); err != nil {
-			fmt.Fprintf(w, `{"error": %q}`, err.Error())
-		}
-	})
-}

@@ -7,8 +7,7 @@
 // In front of the engine sits a sharded LRU cache for hot queries and
 // a metrics layer (per-endpoint request/error/cache counters and
 // latency histograms, plus process and cache-occupancy gauges) exposed
-// two ways: the Prometheus text exposition on /metrics and a JSON tree
-// on /debug/vars.
+// as the Prometheus text exposition on /metrics.
 //
 // # Endpoint contract
 //
@@ -84,11 +83,6 @@
 //	    gauges (shape counts plus probase_snapshot_score{dist,stat}
 //	    distribution stats, refreshed on Swap), probase_process_*
 //	    gauges.
-//
-//	GET /debug/vars
-//	    The same counters as a JSON tree: per-endpoint requests,
-//	    errors, cache_hits, cache_misses, latency histogram; global
-//	    inflight gauge.
 //
 // Each request runs under a context deadline (Config.RequestTimeout);
 // exceeding it aborts the request with 503.
@@ -279,7 +273,6 @@ func New(pb *core.Probase, cfg Config) *Server {
 	s.mux.Handle("/v1/admin/stats", s.wrap(epAdminStats, false, s.handleAdminStats))
 	s.mux.Handle("/v1/admin/traffic", s.wrap(epAdminTraffic, false, s.handleAdminTraffic))
 	s.mux.Handle("/v1/admin/reload", s.wrap(epAdminReload, false, s.handleAdminReload))
-	s.mux.Handle("/debug/vars", s.metrics.Handler())
 	s.mux.Handle("/metrics", s.metrics.PrometheusHandler())
 	s.metrics.observeCache(s.cache)
 	// Scrape-time gauges hold a snapshot reference while they read, so a
@@ -800,7 +793,7 @@ func (s *Server) handleHealthz(st *snapState, r *http.Request) (string, any, err
 		Reasons []string `json:"reasons,omitempty"`
 		Nodes   int      `json:"nodes"`
 		Edges   int      `json:"edges"`
-		// Format is the snapshot's on-disk format magic ("PBGR", "PBC2",
+		// Format is the snapshot's on-disk format magic ("PBC2" or
 		// "PBFL"); empty when serving an in-memory build.
 		Format string `json:"snapshot_format,omitempty"`
 		// Mapped reports whether the graph is served zero-copy out of a

@@ -238,30 +238,11 @@ func TestCacheHitOnRepeatedQuery(t *testing.T) {
 	}
 }
 
-// debugVars fetches and decodes /debug/vars from a live server.
-func debugVars(t *testing.T, base string) map[string]any {
-	t.Helper()
-	resp, err := http.Get(base + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var vars map[string]any
-	if err := json.Unmarshal(raw, &vars); err != nil {
-		t.Fatalf("invalid /debug/vars JSON: %v\n%s", err, raw)
-	}
-	return vars
-}
-
 // TestConcurrentClients hammers a live server with overlapping queries
 // from many goroutines. Under -race this fails if the cache shards, the
 // metrics, or the typicality memoisation are unsynchronised; it also
 // asserts that the hot-query cache actually absorbed repeated queries
-// (nonzero cache_hits on /debug/vars).
+// (nonzero per-endpoint cache-hit counters).
 func TestConcurrentClients(t *testing.T) {
 	s := newTestServer(t)
 	ts := httptest.NewServer(s)
@@ -315,19 +296,13 @@ func TestConcurrentClients(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	vars := debugVars(t, ts.URL)
-	var totalRequests, totalHits float64
+	var totalRequests, totalHits int64
 	for _, name := range allEndpoints {
-		ep, ok := vars[name].(map[string]any)
-		if !ok {
-			t.Fatalf("endpoint %q missing from /debug/vars: %v", name, vars)
-		}
-		req, _ := ep["requests"].(float64)
-		hits, _ := ep["cache_hits"].(float64)
-		totalRequests += req
-		totalHits += hits
+		ep := s.metrics.endpoint(name)
+		totalRequests += ep.requests.Value()
+		totalHits += ep.cacheHits.Value()
 	}
-	if want := float64(clients * requests); totalRequests != want {
+	if want := int64(clients * requests); totalRequests != want {
 		t.Errorf("requests counted = %v, want %v", totalRequests, want)
 	}
 	if totalHits == 0 {
@@ -359,14 +334,11 @@ func TestRequestTimeoutConfigured(t *testing.T) {
 func TestMetricsErrorsCounted(t *testing.T) {
 	s := newTestServer(t)
 	get(t, s, "/v1/instances") // missing param -> 400
-	ts := httptest.NewServer(s)
-	defer ts.Close()
-	vars := debugVars(t, ts.URL)
-	ep := vars["instances"].(map[string]any)
-	if errs, _ := ep["errors"].(float64); errs == 0 {
+	ep := s.metrics.endpoint("instances")
+	if ep.errors.Value() == 0 {
 		t.Error("error counter not incremented by a 400")
 	}
-	if _, ok := ep["latency"].(map[string]any); !ok {
-		t.Errorf("latency histogram missing: %v", ep)
+	if ep.latency.Snapshot().Count == 0 {
+		t.Error("latency histogram did not observe the 400")
 	}
 }

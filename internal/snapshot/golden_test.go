@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,18 +16,18 @@ import (
 	"repro/internal/graph"
 )
 
-// regen rewrites the checked-in v1 fixtures from the current builder:
+// regen rewrites the checked-in fixtures from the current builder:
 //
-//	go test ./internal/snapshot -run TestGoldenV1 -regen
+//	go test ./internal/snapshot -run TestGolden -regen
 //
-// The fixtures pin the legacy on-disk format, so regenerate them only
-// when the *builder* output intentionally changes — never to paper over
-// a loader regression.
-var regen = flag.Bool("regen", false, "rewrite golden v1 snapshot fixtures")
+// The fixtures pin the on-disk format, so regenerate them only when the
+// *builder* output intentionally changes — never to paper over a loader
+// regression.
+var regen = flag.Bool("regen", false, "rewrite golden snapshot fixtures")
 
 const (
-	goldenGraphV1 = "testdata/v1-graph.snap"
-	goldenFullV1  = "testdata/v1-full.snap"
+	goldenGraph = "testdata/graph.snap"
+	goldenFull  = "testdata/full.snap"
 )
 
 // goldenProbase builds the richer taxonomy the fixtures snapshot: a
@@ -54,10 +55,10 @@ func goldenPath(t *testing.T, name string) string {
 		pb := goldenProbase(t)
 		var buf bytes.Buffer
 		var err error
-		if name == goldenFullV1 {
-			err = pb.SaveFullVersion(&buf, 1)
+		if name == goldenFull {
+			err = pb.SaveFull(&buf)
 		} else {
-			err = pb.SaveVersion(&buf, 1)
+			err = pb.Save(&buf)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -95,17 +96,17 @@ func queryFingerprint(pb *core.Probase) string {
 	return sb.String()
 }
 
-// TestGoldenV1Fixtures loads the checked-in legacy snapshots and pins
-// their content: the v1 reader must keep understanding bytes written
-// before the CSR format existed.
-func TestGoldenV1Fixtures(t *testing.T) {
+// TestGoldenFixtures loads the checked-in snapshots and pins their
+// content: bytes written by an earlier build must keep loading, with
+// the full flavour's Γ store and build state intact.
+func TestGoldenFixtures(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		path string
 		full bool
 	}{
-		{"graph-only", goldenGraphV1, false},
-		{"full", goldenFullV1, true},
+		{"graph-only", goldenGraph, false},
+		{"full", goldenFull, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			pb, err := Open(goldenPath(t, tc.path))
@@ -113,10 +114,11 @@ func TestGoldenV1Fixtures(t *testing.T) {
 				t.Fatal(err)
 			}
 			if _, ok := pb.Graph.(*graph.Frozen); !ok {
-				t.Errorf("v1 fixture loaded as %T, want the frozen CSR view", pb.Graph)
+				t.Errorf("fixture loaded as %T, want the frozen CSR view", pb.Graph)
 			}
-			if (pb.Store != nil) != tc.full {
-				t.Errorf("Store presence = %v, want %v", pb.Store != nil, tc.full)
+			if (pb.Store != nil) != tc.full || (pb.State != nil) != tc.full {
+				t.Errorf("Store/State presence = %v/%v, want %v",
+					pb.Store != nil, pb.State != nil, tc.full)
 			}
 			if rs := pb.InstancesOf("animals", 5); len(rs) == 0 {
 				t.Error("fixture answers no instance queries")
@@ -128,51 +130,50 @@ func TestGoldenV1Fixtures(t *testing.T) {
 	}
 }
 
-// TestGoldenV1MatchesV2 is the compatibility bar: re-encoding a golden
-// v1 snapshot as v2 and loading it back must answer every query
-// byte-identically to the v1 original.
-func TestGoldenV1MatchesV2(t *testing.T) {
-	v1, err := Open(goldenPath(t, goldenGraphV1))
+// TestGoldenGraphMappedMatchesOpen: the graph fixture answers every
+// query identically through the copying and the memory-mapped loader,
+// and re-saves to exactly its own bytes.
+func TestGoldenGraphMappedMatchesOpen(t *testing.T) {
+	path := goldenPath(t, goldenGraph)
+	copied, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var v2buf bytes.Buffer
-	if err := v1.SaveVersion(&v2buf, 2); err != nil {
-		t.Fatal(err)
-	}
-	if got := string(v2buf.Bytes()[:4]); got != "PBC2" {
-		t.Fatalf("re-encoded magic = %q, want PBC2", got)
-	}
-	v2, err := Load(bytes.NewReader(v2buf.Bytes()))
+	mapped, err := OpenMapped(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, got := queryFingerprint(v1), queryFingerprint(v2)
-	if want != got {
-		t.Errorf("v1 and v2 snapshots answer differently:\nv1: %s\nv2: %s", want, got)
+	defer mapped.Close()
+	if want, got := queryFingerprint(copied), queryFingerprint(mapped); want != got {
+		t.Errorf("Open and OpenMapped answer differently:\nOpen:       %s\nOpenMapped: %s", want, got)
 	}
+	assertResaves(t, path, mapped.Save)
 }
 
-// TestGoldenFullV1MatchesV2 covers the full "PBFL" flavour: the graph
-// section re-encoded as CSR must leave Γ-backed answers untouched.
-func TestGoldenFullV1MatchesV2(t *testing.T) {
-	v1, err := Open(goldenPath(t, goldenFullV1))
+// TestGoldenFullRoundTrip: the full fixture re-saves to exactly its own
+// bytes — graph section, Γ and build state alike.
+func TestGoldenFullRoundTrip(t *testing.T) {
+	path := goldenPath(t, goldenFull)
+	pb, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var v2buf bytes.Buffer
-	if err := v1.SaveFullVersion(&v2buf, 2); err != nil {
-		t.Fatal(err)
-	}
-	v2, err := Load(bytes.NewReader(v2buf.Bytes()))
+	assertResaves(t, path, pb.SaveFull)
+}
+
+// assertResaves fails unless save writes exactly the bytes of the
+// fixture at path.
+func assertResaves(t *testing.T, path string, save func(io.Writer) error) {
+	t.Helper()
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v2.Store == nil {
-		t.Fatal("full round-trip lost the Γ store")
+	var buf bytes.Buffer
+	if err := save(&buf); err != nil {
+		t.Fatal(err)
 	}
-	want, got := queryFingerprint(v1), queryFingerprint(v2)
-	if want != got {
-		t.Errorf("full v1 and v2 snapshots answer differently:\nv1: %s\nv2: %s", want, got)
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("re-saving %s wrote %d bytes that differ from the fixture's %d", path, buf.Len(), len(want))
 	}
 }

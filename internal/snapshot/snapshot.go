@@ -1,16 +1,14 @@
 // Package snapshot loads taxonomy snapshots produced by probase-build.
-// Every snapshot flavour is accepted and auto-detected by magic:
-// graph-only ("PBGR" v1 adjacency lists or "PBC2" v2 CSR, written by
-// Probase.Save/SaveVersion) and full ("PBFL", written by
-// Probase.SaveFull, carrying Γ alongside the graph). The loader is
+// Both snapshot flavours are accepted and auto-detected by magic:
+// graph-only ("PBC2", written by Probase.Save) and full ("PBFL",
+// written by Probase.SaveFull, carrying Γ alongside the graph). The loader is
 // shared by every binary that consumes snapshots (probase-query,
 // probase-serve) so the flavour-sniffing logic lives in exactly one
 // place.
 //
 // Two file entry points exist: Open decodes the snapshot onto the heap,
-// OpenMapped memory-maps it and serves revision-3 "PBC2" graphs
-// zero-copy out of the mapping (falling back to decoding for every
-// other flavour). The byte-level format specifications live in
+// OpenMapped memory-maps it and serves "PBC2" graphs zero-copy out of
+// the mapping (falling back to decoding for full snapshots). The byte-level format specifications live in
 // FORMATS.md at the repository root.
 package snapshot
 
@@ -44,12 +42,12 @@ func Open(path string) (*core.Probase, error) {
 }
 
 // OpenMapped memory-maps the snapshot file at path and serves the graph
-// directly out of the mapping when the format allows it (a "PBC2"
-// revision-3 snapshot on a little-endian host): loading costs page
-// faults instead of a full decode, the arrays stay off the Go heap, and
-// replicas on one machine share the page cache. Every other flavour —
-// legacy graph formats and full "PBFL" snapshots — transparently falls
-// back to the copying loader, so -mmap is always safe to request.
+// directly out of the mapping when the format allows it (a graph-only
+// "PBC2" snapshot on a little-endian host): loading costs page faults
+// instead of a full decode, the arrays stay off the Go heap, and
+// replicas on one machine share the page cache. Full "PBFL" snapshots
+// transparently fall back to the copying loader, so -mmap is always
+// safe to request.
 //
 // The returned Probase owns the mapping; call Probase.Close after the
 // last query has drained. Probase.Mapped reports whether the zero-copy

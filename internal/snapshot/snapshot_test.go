@@ -93,23 +93,18 @@ func TestOpenFlavours(t *testing.T) {
 
 // TestLoadRecordsFormat pins the snapshot-identity contract: Load
 // stamps the Probase with the on-disk format magic it sniffed, for
-// every format version and flavour, while in-memory builds stay blank.
+// every flavour, while in-memory builds stay blank.
 func TestLoadRecordsFormat(t *testing.T) {
 	pb := buildProbase(t)
 	if pb.Format != "" {
 		t.Errorf("in-memory build has format %q, want empty", pb.Format)
 	}
 
-	var v1 bytes.Buffer
-	if err := pb.SaveVersion(&v1, 1); err != nil {
-		t.Fatal(err)
-	}
 	for _, tc := range []struct {
 		name string
 		data []byte
 		want string
 	}{
-		{"v1 adjacency", v1.Bytes(), "PBGR"},
 		{"v2 csr", graphOnlyBytes(t, pb), "PBC2"},
 		{"full", fullBytes(t, pb), "PBFL"},
 	} {
@@ -239,15 +234,11 @@ func TestOpenShortFileError(t *testing.T) {
 	}
 }
 
-// TestOpenMappedFlavours: the mapped entry point accepts every snapshot
-// flavour and answers identically to the copying loader; only the
-// current CSR format actually maps.
+// TestOpenMappedFlavours: the mapped entry point accepts both snapshot
+// flavours and answers identically to the copying loader; only the
+// graph-only flavour actually maps.
 func TestOpenMappedFlavours(t *testing.T) {
 	pb := buildProbase(t)
-	var v1 bytes.Buffer
-	if err := pb.SaveVersion(&v1, 1); err != nil {
-		t.Fatal(err)
-	}
 	for _, tc := range []struct {
 		name     string
 		data     []byte
@@ -255,7 +246,6 @@ func TestOpenMappedFlavours(t *testing.T) {
 		mappable bool
 	}{
 		{"v2 csr", graphOnlyBytes(t, pb), "PBC2", true},
-		{"v1 adjacency", v1.Bytes(), "PBGR", false},
 		{"full", fullBytes(t, pb), "PBFL", false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

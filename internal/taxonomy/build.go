@@ -57,7 +57,7 @@ type BuildStats struct {
 // Result is a constructed taxonomy. State is the merge state the graph
 // was assembled from; delta builds feed it back through MergeDelta.
 type Result struct {
-	Graph  *graph.Store
+	Graph  *graph.Builder
 	Senses map[string][]string // root label -> node labels of its senses
 	Stats  BuildStats
 	State  *State

@@ -16,7 +16,7 @@ func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 	snapshot := func(workers int) ([]byte, map[string][]string, BuildStats) {
 		res := Build(groups, Config{Workers: workers})
 		var buf bytes.Buffer
-		if err := res.Graph.Save(&buf); err != nil {
+		if err := res.Graph.Freeze().Save(&buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes(), res.Senses, res.Stats

@@ -264,7 +264,7 @@ func assembleState(state *State, cfg Config, rep obs.StageReporter) *Result {
 	rep.StageStart(obs.StageTaxonomyAssemble)
 	stageStart = time.Now()
 	res := &Result{
-		Graph:  graph.NewStore(),
+		Graph:  graph.NewBuilder(),
 		Senses: make(map[string][]string),
 		State:  state,
 		Stats:  BuildStats{VerticalOps: vops},

@@ -112,10 +112,10 @@ func TestBuildEqualsMergeAssemble(t *testing.T) {
 		t.Fatal("sense maps diverge")
 	}
 	var a, b bytes.Buffer
-	if err := whole.Graph.Save(&a); err != nil {
+	if err := whole.Graph.Freeze().Save(&a); err != nil {
 		t.Fatal(err)
 	}
-	if err := staged.Graph.Save(&b); err != nil {
+	if err := staged.Graph.Freeze().Save(&b); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
