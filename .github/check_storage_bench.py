@@ -3,13 +3,11 @@
 
 Usage: check_storage_bench.py REPORT.json
 
-Identity must hold on any machine. The speed gates compare min-of-reps
-timings of competing code paths on the same graph in the same process,
-so runner noise largely cancels: the closure traversals carry 1.6-3x
-margins, the mmap-vs-copy load gate rides the systematic cost the
-copying decoder always pays (allocate + decode the whole file) on a
-thinner margin, and the lookup gate allows measurement jitter around
-its ~1.1x margin.
+The load gate compares min-of-reps timings of the copying and the
+memory-mapped loader on the same file in the same process, so runner
+noise largely cancels; it rides the systematic cost the copying
+decoder always pays (allocate + decode the whole file). The zero-copy
+and heap gates are not timings and must hold on any machine.
 
 Exits non-zero on any violated gate. ci.yml re-runs this script on a
 doctored report to prove the gate is live.
@@ -24,24 +22,13 @@ report = json.load(open(sys.argv[1]))
 exp = next(e for e in report["experiments"] if e["name"] == "storage")
 r = exp["result"]
 
-print(
-    f"lookup {r['lookup_speedup']:.2f}x, descendants {r['descendants_speedup']:.2f}x, "
-    f"haspath {r['haspath_speedup']:.2f}x, "
-    f"load mmap vs copy {r['mmap_load_speedup']:.2f}x (zero_copy={r['mmap_zero_copy']}), "
-    f"identical={r['results_identical']}"
-)
+print(f"load mmap vs copy {r['mmap_load_speedup']:.2f}x (zero_copy={r['mmap_zero_copy']})")
 print(
     f"first query: copy {r['first_query_copy_us']:.0f}us vs mmap {r['first_query_mmap_us']:.0f}us; "
     f"gc pause: copy {r['gc_pause_copy_us']:.0f}us vs mmap {r['gc_pause_mmap_us']:.0f}us; "
     f"heap: copy {r['heap_copy_bytes']} vs mmap {r['heap_mmap_bytes']} bytes"
 )
 
-if not r["results_identical"]:
-    sys.exit("frozen CSR query results diverge from the mutable builder")
-if r["descendants_speedup"] <= 1.0 or r["haspath_speedup"] <= 1.0:
-    sys.exit("frozen closure traversals are not faster than the builder")
-if r["lookup_speedup"] <= 0.95:
-    sys.exit("frozen lookup is slower than the builder beyond noise")
 if not r["mmap_zero_copy"]:
     sys.exit("mapped loader fell back to a heap copy on this runner")
 if r["mmap_load_speedup"] <= 1.0:

@@ -13,6 +13,7 @@ import (
 	"io"
 	"os"
 
+	"repro/internal/atomicfile"
 	"repro/internal/corpus"
 	"repro/internal/obs"
 )
@@ -45,16 +46,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 	w := corpus.DefaultWorld(*scale)
 	c := corpus.NewGenerator(w, corpus.GenConfig{Sentences: *sentences, Seed: *seed}).Generate()
 
-	var dst io.Writer = stdout
-	if *out != "-" {
-		f, err := os.Create(*out)
-		if err != nil {
+	write := func(w io.Writer) error {
+		_, err := c.WriteTo(w)
+		return err
+	}
+	if *out == "-" {
+		if err := write(stdout); err != nil {
 			return err
 		}
-		defer f.Close()
-		dst = f
-	}
-	if _, err := c.WriteTo(dst); err != nil {
+	} else if err := atomicfile.Write(*out, 0o644, write); err != nil {
 		return err
 	}
 	st := w.Stats()

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -69,5 +70,43 @@ func TestVersionFlag(t *testing.T) {
 	}
 	if !strings.Contains(stdout.String(), "corpusgen version") {
 		t.Errorf("stdout = %q", stdout.String())
+	}
+}
+
+// TestRunReplacesAtomically: regenerating onto an existing corpus
+// leaves a reader of the old file with the old bytes, and no temporary
+// file beside the new one.
+func TestRunReplacesAtomically(t *testing.T) {
+	dir := t.TempDir()
+	out := filepath.Join(dir, "c.tsv")
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-sentences", "200", "-o", out}, &stdout, &stderr); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := os.Open(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer old.Close()
+	if err := run([]string{"-sentences", "50", "-o", out}, &stdout, &stderr); err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("reader of the old corpus saw %d bytes, want its %d", len(got), len(want))
+	}
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(des) != 1 {
+		t.Errorf("directory holds %d entries after regenerating, want 1", len(des))
 	}
 }

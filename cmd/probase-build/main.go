@@ -35,6 +35,7 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/atomicfile"
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/extraction"
@@ -203,25 +204,17 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	of, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
 	save := pb.Save
 	if *full {
 		save = pb.SaveFull
 	}
+	// Replace -o atomically: a server may have the old snapshot mapped.
 	saveStart := time.Now()
 	reporter.StageStart(obs.StageSnapshotSave)
-	if err := save(of); err != nil {
-		of.Close()
+	if err := atomicfile.Write(*out, 0o644, save); err != nil {
 		return err
 	}
-	err = of.Close()
 	reporter.StageEnd(obs.StageSnapshotSave, time.Since(saveStart))
-	if err != nil {
-		return err
-	}
 	elapsed := time.Since(start)
 
 	st := pb.Store.Stats()
@@ -272,7 +265,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if *statsOut == "-" {
 			_, err = stdout.Write(raw)
 		} else {
-			err = os.WriteFile(*statsOut, raw, 0o644)
+			err = atomicfile.Write(*statsOut, 0o644, func(w io.Writer) error {
+				_, err := w.Write(raw)
+				return err
+			})
 		}
 		if err != nil {
 			return fmt.Errorf("writing stats report: %w", err)

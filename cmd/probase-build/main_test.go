@@ -10,6 +10,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/snapshot"
+	"repro/internal/taxstats"
 )
 
 func writeCorpus(t *testing.T, n int) string {
@@ -200,5 +202,84 @@ func TestBuildVersionFlag(t *testing.T) {
 	}
 	if !strings.Contains(stdout.String(), "probase-build version") {
 		t.Errorf("stdout = %q", stdout.String())
+	}
+}
+
+// TestRebuildKeepsMappedSnapshot: rebuilding onto the path a server has
+// memory-mapped replaces the file without touching the mapped one —
+// the old mapping still walks in full to the same fingerprint.
+func TestRebuildKeepsMappedSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	out := filepath.Join(dir, "p.bin")
+	build := func(corpusPath string) {
+		t.Helper()
+		var stdout, stderr bytes.Buffer
+		if err := run([]string{"-corpus", corpusPath, "-o", out, "-quiet"}, &stdout, &stderr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	build(writeCorpus(t, 2000))
+	old, err := snapshot.OpenMapped(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer old.Close()
+	want := taxstats.Fingerprint(old.Graph)
+
+	build(writeCorpus(t, 3000))
+	if got := taxstats.Fingerprint(old.Graph); got != want {
+		t.Errorf("old mapping fingerprints %s after the rebuild, want %s", got, want)
+	}
+	rebuilt, err := snapshot.Open(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if taxstats.Fingerprint(rebuilt.Graph) == want {
+		t.Error("rebuild did not replace the snapshot")
+	}
+	assertOnlyFile(t, dir, "p.bin")
+}
+
+// TestFailedBuildKeepsOutput: a build that fails leaves the previous
+// snapshot byte-for-byte intact and no temporary file beside it.
+func TestFailedBuildKeepsOutput(t *testing.T) {
+	dir := t.TempDir()
+	out := filepath.Join(dir, "p.bin")
+	corpusPath := writeCorpus(t, 1000)
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-corpus", corpusPath, "-o", out, "-quiet"}, &stdout, &stderr); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A graph-only snapshot carries no build state to extend.
+	if err := run([]string{"-base", out, "-corpus", corpusPath, "-o", out, "-quiet"}, &stdout, &stderr); err == nil {
+		t.Fatal("delta build over a graph-only base succeeded")
+	}
+	got, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("failed build changed the previous snapshot")
+	}
+	assertOnlyFile(t, dir, "p.bin")
+}
+
+// assertOnlyFile fails unless dir holds exactly the named file.
+func assertOnlyFile(t *testing.T, dir, name string) {
+	t.Helper()
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(des) != 1 || des[0].Name() != name {
+		var names []string
+		for _, de := range des {
+			names = append(names, de.Name())
+		}
+		t.Errorf("%s holds %v, want only %s", dir, names, name)
 	}
 }

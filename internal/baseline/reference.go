@@ -18,8 +18,10 @@ import (
 
 // Reference is a comparator taxonomy.
 type Reference struct {
-	Name      string
-	Graph     *graph.Builder
+	Name string
+	// Graph is the finished reference taxonomy, frozen once after
+	// construction.
+	Graph     *graph.Frozen
 	Concepts  []string // singular concept labels
 	Instances []string
 }
@@ -28,7 +30,7 @@ type Reference struct {
 // deep clean hierarchy, and few instances per concept — lexicographers
 // curate words, not entities.
 func NewWordNetRef(w *corpus.World) *Reference {
-	r := &Reference{Name: "WordNet", Graph: graph.NewBuilder()}
+	r := &Reference{Name: "WordNet"}
 	include := func(c *corpus.Concept) bool {
 		return !strings.Contains(c.Label, " ")
 	}
@@ -40,7 +42,7 @@ func NewWordNetRef(w *corpus.World) *Reference {
 // thematic topics, moderate instances.
 func NewWikiTaxonomyRef(w *corpus.World) *Reference {
 	rng := rand.New(rand.NewSource(7))
-	r := &Reference{Name: "WikiTaxonomy", Graph: graph.NewBuilder()}
+	r := &Reference{Name: "WikiTaxonomy"}
 	include := func(c *corpus.Concept) bool {
 		if !strings.Contains(c.Label, " ") {
 			return true
@@ -55,7 +57,7 @@ func NewWikiTaxonomyRef(w *corpus.World) *Reference {
 // mapped into WordNet) and many instances, still well below web scale.
 func NewYAGORef(w *corpus.World) *Reference {
 	rng := rand.New(rand.NewSource(11))
-	r := &Reference{Name: "YAGO", Graph: graph.NewBuilder()}
+	r := &Reference{Name: "YAGO"}
 	include := func(c *corpus.Concept) bool {
 		if !strings.Contains(c.Label, " ") {
 			return true
@@ -78,7 +80,7 @@ var freebaseDomains = map[string]bool{
 // concept-subconcept edges (Table 4's all-zero row), and huge flat
 // instance sets inside its curated domains.
 func NewFreebaseRef(w *corpus.World) *Reference {
-	r := &Reference{Name: "Freebase", Graph: graph.NewBuilder()}
+	r := &Reference{Name: "Freebase"}
 	include := func(c *corpus.Concept) bool { return freebaseDomains[c.Key] }
 	r.build(w, include, 1<<30, false)
 	return r
@@ -103,10 +105,11 @@ func (r *Reference) build(w *corpus.World, include func(*corpus.Concept) bool, m
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
+	g := graph.NewBuilder()
 	seenLabel := make(map[string]bool)
 	for _, key := range keys {
 		c := w.Concept(key)
-		id := r.Graph.Intern(c.Label)
+		id := g.Intern(c.Label)
 		if !seenLabel[c.Label] {
 			seenLabel[c.Label] = true
 			r.Concepts = append(r.Concepts, c.Label)
@@ -116,21 +119,22 @@ func (r *Reference) build(w *corpus.World, include func(*corpus.Concept) bool, m
 			n = maxInstances
 		}
 		for _, inst := range c.Instances[:n] {
-			r.Graph.AddEdge(id, r.Graph.Intern(inst), 1, 1)
+			g.AddEdge(id, g.Intern(inst), 1, 1)
 			r.Instances = append(r.Instances, inst)
 		}
 		if withHierarchy {
 			for _, pk := range c.Parents {
 				if included[pk] {
 					p := w.Concept(pk)
-					from := r.Graph.Intern(p.Label)
-					if from != id && !r.Graph.HasPath(id, from) {
-						r.Graph.AddEdge(from, id, 1, 1)
+					from := g.Intern(p.Label)
+					if from != id && !g.HasPath(id, from) {
+						g.AddEdge(from, id, 1, 1)
 					}
 				}
 			}
 		}
 	}
+	r.Graph = g.Freeze()
 	sort.Strings(r.Instances)
 	r.Instances = dedupeSorted(r.Instances)
 }

@@ -36,7 +36,7 @@ func (p *Probase) SaveFull(w io.Writer) error {
 		return errors.New("core: no Γ to save; use Save for graph-only snapshots")
 	}
 	var gbuf, kbuf bytes.Buffer
-	if err := graph.WriteSnapshot(&gbuf, p.Graph); err != nil {
+	if err := p.Graph.Save(&gbuf); err != nil {
 		return err
 	}
 	if err := p.Store.Save(&kbuf); err != nil {

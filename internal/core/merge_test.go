@@ -6,7 +6,6 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/corpus"
 	"repro/internal/graph"
-	"repro/internal/obs"
 )
 
 func TestMergeFreebaseInstances(t *testing.T) {
@@ -63,7 +62,7 @@ func TestMergeIsDAGSafe(t *testing.T) {
 	cat := adv.Intern("cat")
 	animal := adv.Intern("animal")
 	adv.AddEdge(cat, animal, 5, 0.9) // cat -> animal would close a cycle
-	merged, err := pb.Merge(adv)
+	merged, err := pb.Merge(adv.Freeze())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +73,7 @@ func TestMergeIsDAGSafe(t *testing.T) {
 
 func TestMergeEmptySource(t *testing.T) {
 	pb, _ := buildFixture(t, 8000)
-	merged, err := pb.Merge(graph.NewBuilder())
+	merged, err := pb.Merge(graph.NewBuilder().Freeze())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,12 +82,11 @@ func TestMergeEmptySource(t *testing.T) {
 	}
 }
 
-// TestMergeObservedReannotates: with a live evidence model, the merged
-// graph's edges carry freshly computed plausibilities — an imported edge
-// that duplicates a Γ-known pair is rescored by the model, while pairs
-// unknown to Γ keep the plausibility the source shipped. The stage
-// reporter sees the annotation pass.
-func TestMergeObservedReannotates(t *testing.T) {
+// TestMergeReannotates: with a live evidence model, the merged graph's
+// edges carry freshly computed plausibilities — an imported edge that
+// duplicates a Γ-known pair is rescored by the model, while pairs
+// unknown to Γ keep the plausibility the source shipped.
+func TestMergeReannotates(t *testing.T) {
 	pb, _ := buildFixture(t, 8000)
 
 	// Find a real edge of the built taxonomy whose pair is in Γ.
@@ -118,8 +116,7 @@ func TestMergeObservedReannotates(t *testing.T) {
 	// ...and bring one pair Γ knows nothing about.
 	src.AddEdge(src.Intern("martian vehicle"), src.Intern("rover x-99"), 3, 0.777)
 
-	col := obs.NewStatsCollector()
-	merged, err := pb.MergeObserved(src, 2, col)
+	merged, err := pb.Merge(src.Freeze())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,12 +131,5 @@ func TestMergeObservedReannotates(t *testing.T) {
 	mf, mt := merged.Graph.Lookup("martian vehicle"), merged.Graph.Lookup("rover x-99")
 	if me, ok := merged.Graph.EdgeBetween(mf, mt); !ok || me.Plausibility != 0.777 {
 		t.Errorf("imported-only edge = %+v, want stored plausibility 0.777", me)
-	}
-	seen := map[string]bool{}
-	for _, s := range col.Stages() {
-		seen[s.Name] = true
-	}
-	if !seen[obs.StageProbAnnotate] {
-		t.Error("reporter saw no annotation stage during merge")
 	}
 }

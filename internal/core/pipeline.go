@@ -178,7 +178,7 @@ func (p *pipeline) stageScore() {
 // engine, only the rows of nodes whose ancestor evidence changed are
 // recomputed (prob.DirtySeeds + the descendant closure); clean rows are
 // copied across by label.
-func (p *pipeline) stageTypicality(prev *prob.Typicality, prevGraph graph.Reader) error {
+func (p *pipeline) stageTypicality(prev *prob.Typicality, prevGraph *graph.Frozen) error {
 	opts := prob.Options{Workers: p.workers, Reporter: p.rep}
 	if prev != nil && prevGraph != nil {
 		seeds := prob.DirtySeeds(prevGraph, p.fz)

@@ -60,10 +60,9 @@ type Probase struct {
 	// Store is Γ, the extracted pair store with evidence. Nil when the
 	// Probase was loaded from a snapshot.
 	Store *kb.Store
-	// Graph is the taxonomy DAG with plausibility-annotated edges. After
-	// Build, Load or Merge it is the immutable CSR view (*graph.Frozen);
-	// Rebind can swap in any other graph.Reader backend.
-	Graph graph.Reader
+	// Graph is the taxonomy DAG with plausibility-annotated edges, as
+	// the immutable CSR view the whole read path queries.
+	Graph *graph.Frozen
 	// Senses maps each concept label to its sense node labels.
 	Senses map[string][]string
 	// Info describes the build. Zero when loaded from a snapshot.
@@ -285,20 +284,16 @@ func (p *Probase) Typicality() *prob.Typicality { return p.typ }
 // in Freebase ... can be easily merged into Probase". A source concept
 // label that matches one of ours attaches to our dominant sense;
 // everything else is interned fresh. Counts accumulate; imported edges
-// keep their plausibility. Equivalent to MergeObserved(other, 0, nil).
-func (p *Probase) Merge(other graph.Reader) (*Probase, error) {
-	return p.MergeObserved(other, 0, nil)
-}
-
-// MergeObserved is Merge on the delta machinery: the frozen base is
-// thawed (graph.NewBuilderFrom), the import applied, and — when a live
-// evidence model is available — plausibility re-annotated over the
-// merged graph, so edges whose accumulated counts changed the noisy-or
-// are rescored instead of keeping stale values. Imported pairs unknown
-// to Γ score zero and keep their stored plausibility. workers bounds the
-// annotation and typicality pools (<= 0 means GOMAXPROCS); rep receives
-// the stage telemetry (nil discards it).
-func (p *Probase) MergeObserved(other graph.Reader, workers int, rep obs.StageReporter) (*Probase, error) {
+// keep their plausibility. An import edge that would close a cycle is
+// skipped.
+//
+// The frozen base is thawed (graph.NewBuilderFrom) and the import
+// applied. When a live evidence model is available, plausibility is
+// re-annotated over the merged graph, so edges whose accumulated counts
+// changed the noisy-or are rescored instead of keeping stale values;
+// imported pairs unknown to Γ score zero and keep their stored
+// plausibility.
+func (p *Probase) Merge(other *graph.Frozen) (*Probase, error) {
 	g := graph.NewBuilderFrom(p.Graph)
 	resolve := func(label string, conceptPosition bool) graph.NodeID {
 		if conceptPosition {
@@ -326,10 +321,8 @@ func (p *Probase) MergeObserved(other graph.Reader, workers int, rep obs.StageRe
 			})
 		}
 	}
-	skipped := 0
 	for _, pe := range edges {
 		if pe.from == pe.to || g.HasPath(pe.to, pe.from) {
-			skipped++
 			continue
 		}
 		g.AddEdge(pe.from, pe.to, pe.e.Count, pe.e.Plausibility)
@@ -338,10 +331,10 @@ func (p *Probase) MergeObserved(other graph.Reader, workers int, rep obs.StageRe
 		// Accumulated counts feed the count-based fallback and the
 		// beyond-cap extrapolation, so merged-in sightings can move a
 		// pair's noisy-or; rescore rather than serve stale values.
-		AnnotatePlausibility(g, p.model, workers, rep)
+		AnnotatePlausibility(g, p.model, 0, nil)
 	}
 	fz := g.Freeze()
-	typ, err := prob.New(fz, prob.Options{Workers: workers, Reporter: rep})
+	typ, err := prob.NewTypicality(fz)
 	if err != nil {
 		return nil, fmt.Errorf("core: merge broke the DAG: %w", err)
 	}
@@ -360,31 +353,10 @@ func (p *Probase) MergeObserved(other graph.Reader, workers int, rep obs.StageRe
 	}, nil
 }
 
-// Rebind returns a Probase answering queries from g instead of the
-// current graph — the storage-backend swap seam. g must describe the
-// same taxonomy (typically the Builder thaw or Frozen view of p.Graph);
-// the typicality engine is rebuilt over it, everything else is shared.
-func (p *Probase) Rebind(g graph.Reader) (*Probase, error) {
-	typ, err := prob.NewTypicality(g)
-	if err != nil {
-		return nil, fmt.Errorf("core: rebind: %w", err)
-	}
-	return &Probase{
-		Store:      p.Store,
-		Graph:      g,
-		Senses:     p.Senses,
-		Info:       p.Info,
-		Extraction: p.Extraction,
-		Format:     p.Format,
-		typ:        typ,
-		model:      p.model,
-	}, nil
-}
-
 // Save writes the taxonomy snapshot (graph, counts, plausibilities) as
 // a "PBC2" graph snapshot. Γ and the evidence model are rebuildable
 // from the corpus and are not persisted.
-func (p *Probase) Save(w io.Writer) error { return graph.WriteSnapshot(w, p.Graph) }
+func (p *Probase) Save(w io.Writer) error { return p.Graph.Save(w) }
 
 // Load reads a snapshot written by Save and rebuilds the query engine
 // over the CSR view.
@@ -399,9 +371,8 @@ func Load(r io.Reader) (*Probase, error) {
 // FromFrozen builds the query engine over an already-loaded graph view
 // — the seam the memory-mapped loading path enters through
 // (snapshot.OpenMapped): graph.LoadMapped produces the Frozen, this
-// wires typicality and the sense index over it. Also accepts any other
-// Reader.
-func FromFrozen(g graph.Reader) (*Probase, error) {
+// wires typicality and the sense index over it.
+func FromFrozen(g *graph.Frozen) (*Probase, error) {
 	typ, err := prob.NewTypicality(g)
 	if err != nil {
 		return nil, fmt.Errorf("core: snapshot is not a DAG: %w", err)
@@ -409,34 +380,24 @@ func FromFrozen(g graph.Reader) (*Probase, error) {
 	return &Probase{Graph: g, Senses: sensesFromGraph(g), typ: typ}, nil
 }
 
-// Close releases resources held by the graph backend — for a
+// Close releases resources held by the graph — for a
 // memory-mapped snapshot, the mapping itself. After Close on a mapped
 // Probase every label string and edge slice previously obtained is
 // invalid, so no query may run concurrently with or after it; the
 // serving layer guarantees that by refcounting snapshot epochs and
 // closing only when the last in-flight request drains. Idempotent, and
 // a no-op for heap-backed graphs.
-func (p *Probase) Close() error {
-	if c, ok := p.Graph.(io.Closer); ok {
-		return c.Close()
-	}
-	return nil
-}
+func (p *Probase) Close() error { return p.Graph.Close() }
 
-// Mapped reports whether the graph backend is a zero-copy view of a
+// Mapped reports whether the graph is a zero-copy view of a
 // memory-mapped snapshot. Surfaced on /v1/healthz so operators can
 // confirm which storage mode a replica runs.
-func (p *Probase) Mapped() bool {
-	if m, ok := p.Graph.(interface{ Mapped() bool }); ok {
-		return m.Mapped()
-	}
-	return false
-}
+func (p *Probase) Mapped() bool { return p.Graph.Mapped() }
 
 // sensesFromGraph rebuilds the concept -> sense-node index from node
 // labels. Sense names are ordered by dominance at build time; restore
 // that order numerically ("x#2" before "x#10").
-func sensesFromGraph(g graph.Reader) map[string][]string {
+func sensesFromGraph(g *graph.Frozen) map[string][]string {
 	senses := make(map[string][]string)
 	for _, id := range g.Concepts() {
 		label := g.Label(id)

@@ -113,7 +113,7 @@ type HierarchyMetrics struct {
 }
 
 // Hierarchy computes the Table 4 metrics of a taxonomy graph.
-func Hierarchy(name string, g graph.Reader) (HierarchyMetrics, error) {
+func Hierarchy(name string, g *graph.Frozen) (HierarchyMetrics, error) {
 	m := HierarchyMetrics{Name: name}
 	depth, err := g.Level()
 	if err != nil {
@@ -179,7 +179,7 @@ type SizeDistribution struct {
 }
 
 // Distribution computes the Figure 8 statistics for a taxonomy graph.
-func Distribution(name string, g graph.Reader) SizeDistribution {
+func Distribution(name string, g *graph.Frozen) SizeDistribution {
 	d := SizeDistribution{Name: name, Buckets: sizeBuckets()}
 	var sizes []int
 	for _, c := range g.Concepts() {

@@ -74,7 +74,7 @@ func TestHierarchy(t *testing.T) {
 	g.AddEdge(thing, animal, 1, 1)
 	g.AddEdge(animal, pet, 1, 1)
 	g.AddEdge(pet, cat, 1, 1)
-	m, err := Hierarchy("test", g)
+	m, err := Hierarchy("test", g.Freeze())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,13 +92,13 @@ func TestHierarchy(t *testing.T) {
 
 func TestHierarchyEmptyAndCycle(t *testing.T) {
 	g := graph.NewBuilder()
-	if m, err := Hierarchy("empty", g); err != nil || m.IsAPairs != 0 {
+	if m, err := Hierarchy("empty", g.Freeze()); err != nil || m.IsAPairs != 0 {
 		t.Errorf("empty: %+v %v", m, err)
 	}
 	a, b := g.Intern("a"), g.Intern("b")
 	g.AddEdge(a, b, 1, 1)
 	g.AddEdge(b, a, 1, 1)
-	if _, err := Hierarchy("cyclic", g); err == nil {
+	if _, err := Hierarchy("cyclic", g.Freeze()); err == nil {
 		t.Error("cycle accepted")
 	}
 }
@@ -111,7 +111,7 @@ func TestDistribution(t *testing.T) {
 		g.AddEdge(big, g.Intern(string(rune('A'))+string(rune('0'+i%10))+string(rune('a'+i/10))), 1, 1)
 	}
 	g.AddEdge(small, g.Intern("only one"), 1, 1)
-	d := Distribution("test", g)
+	d := Distribution("test", g.Freeze())
 	var b100, bLt5 int
 	for _, b := range d.Buckets {
 		switch b.Label {

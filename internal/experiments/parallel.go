@@ -44,7 +44,7 @@ var parallelWorkerCounts = []int{1, 2, 4}
 // DP dominates measurement noise: `width` nodes per level, each wired to
 // three parents of the previous level, giving wide per-level fan-out
 // (the axis the DP parallelizes over) and deep ancestor sets.
-func alg3BenchGraph(levels, width int) *graph.Builder {
+func alg3BenchGraph(levels, width int) *graph.Frozen {
 	rng := rand.New(rand.NewSource(7))
 	g := graph.NewBuilder()
 	prev := []graph.NodeID{g.Intern("root")}
@@ -63,12 +63,12 @@ func alg3BenchGraph(levels, width int) *graph.Builder {
 		}
 		prev = cur
 	}
-	return g
+	return g.Freeze()
 }
 
 // reachFingerprint hashes P(x,y) over every node pair, so two DP runs
 // agree iff their reach tables agree.
-func reachFingerprint(g *graph.Builder, t *prob.Typicality) uint64 {
+func reachFingerprint(g *graph.Frozen, t *prob.Typicality) uint64 {
 	h := fnv.New64a()
 	var buf [16]byte
 	n := graph.NodeID(g.NumNodes())
@@ -171,12 +171,12 @@ func (s *Setup) ParallelExp() (*ParallelResult, string) {
 		return s.World.IsTrueIsA(x, y), true
 	}
 	model := prob.Train(s.PB.Store, oracle)
-	base := taxonomy.Build(groups, taxonomy.Config{Workers: 1})
+	base := taxonomy.Build(groups, taxonomy.Config{Workers: 1}).Graph.Freeze()
 	var annSnapshots [][]byte
 	for _, w := range parallelWorkerCounts {
 		var g *graph.Builder
 		secs := minSeconds(reps, func() {
-			g = base.Graph.Clone()
+			g = graph.NewBuilderFrom(base)
 			core.AnnotatePlausibility(g, model, w, nil)
 		})
 		var buf bytes.Buffer

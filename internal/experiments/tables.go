@@ -38,7 +38,7 @@ func (s *Setup) Table1() ([]Table1Row, string) {
 func (s *Setup) Table4() ([]eval.HierarchyMetrics, string, error) {
 	entries := []struct {
 		name string
-		g    graph.Reader
+		g    *graph.Frozen
 	}{
 		{"WordNet", s.WordNet.Graph},
 		{"WikiTaxonomy", s.WikiTax.Graph},

@@ -51,23 +51,6 @@ func (cw *crcWriter) Write(p []byte) (int, error) {
 	return cw.w.Write(p)
 }
 
-// WriteSnapshot writes a checksummed PBC2 snapshot of g, freezing it
-// first unless it already is a Frozen view.
-func WriteSnapshot(w io.Writer, g Reader) error { return saveV3(w, frozenView(g)) }
-
-// frozenView returns g's CSR form, freezing (via a thaw for foreign
-// Reader implementations) only when g is not already Frozen.
-func frozenView(g Reader) *Frozen {
-	switch v := g.(type) {
-	case *Frozen:
-		return v
-	case *Builder:
-		return v.Freeze()
-	default:
-		return NewBuilderFrom(g).Freeze()
-	}
-}
-
 // Save writes the frozen view as a PBC2 snapshot. The encoding is
 // canonical: equal graphs produce equal bytes.
 func (f *Frozen) Save(w io.Writer) error { return saveV3(w, f) }

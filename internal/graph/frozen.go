@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"io"
 	"sort"
 	"sync"
@@ -43,8 +44,7 @@ type Frozen struct {
 	idx []uint32
 
 	// CSR adjacency: edges of node i are xxEdges[xxOff[i]:xxOff[i+1]],
-	// sorted by Edge.To (copied verbatim from the Builder's sorted rows,
-	// so traversal order matches the mutable store exactly).
+	// sorted by Edge.To (copied verbatim from the Builder's sorted rows).
 	outOff   []uint32
 	outEdges []Edge
 	inOff    []uint32
@@ -62,8 +62,8 @@ type Frozen struct {
 	instances []NodeID
 
 	// levels/depth are the TopoLevels/Level results computed once at
-	// freeze time; topoErr holds the cycle error, if any, so the frozen
-	// view reports it exactly where the mutable store would.
+	// freeze time; topoErr holds the cycle error, if any, and is
+	// returned by both.
 	levels  [][]NodeID
 	depth   []int
 	topoErr error
@@ -138,13 +138,76 @@ func (f *Frozen) finish() {
 			f.idx[i] = uint32(id) + 1
 		}
 	}
-	f.roots = rootsOf(f)
-	f.concepts = conceptsOf(f)
-	f.instances = instancesOf(f)
-	f.levels, f.topoErr = topoLevels(f)
-	if f.topoErr == nil {
-		f.depth = levelDepth(f, f.levels)
+	// sorted is already in label order, so filtering it yields the
+	// label-sorted node classes directly.
+	for _, id := range f.sorted {
+		if f.inOff[id+1] == f.inOff[id] {
+			f.roots = append(f.roots, id)
+		}
+		if f.outOff[id+1] > f.outOff[id] {
+			f.concepts = append(f.concepts, id)
+		} else {
+			f.instances = append(f.instances, id)
+		}
 	}
+	f.levels, f.topoErr = f.topoLevels()
+	if f.topoErr == nil {
+		f.depth = f.levelDepth()
+	}
+}
+
+// topoLevels partitions the nodes by indegree peeling; each level is
+// sorted by label before it is emitted, so the partition is
+// deterministic.
+func (f *Frozen) topoLevels() ([][]NodeID, error) {
+	n := f.NumNodes()
+	remaining := make([]uint32, n)
+	var current []NodeID
+	for id := 0; id < n; id++ {
+		remaining[id] = f.inOff[id+1] - f.inOff[id]
+		if remaining[id] == 0 {
+			current = append(current, NodeID(id))
+		}
+	}
+	var levels [][]NodeID
+	placed := 0
+	for len(current) > 0 {
+		sort.Slice(current, func(i, j int) bool { return f.arena.label(current[i]) < f.arena.label(current[j]) })
+		levels = append(levels, current)
+		placed += len(current)
+		var next []NodeID
+		for _, node := range current {
+			for _, to := range f.outTo[f.outOff[node]:f.outOff[node+1]] {
+				remaining[to]--
+				if remaining[to] == 0 {
+					next = append(next, to)
+				}
+			}
+		}
+		current = next
+	}
+	if placed != n {
+		return nil, fmt.Errorf("graph: cycle detected; %d of %d nodes unplaced", n-placed, n)
+	}
+	return levels, nil
+}
+
+// levelDepth computes Level from the topological levels: children are
+// finalised before parents by walking the levels in reverse.
+func (f *Frozen) levelDepth() []int {
+	depth := make([]int, f.NumNodes())
+	for i := len(f.levels) - 1; i >= 0; i-- {
+		for _, node := range f.levels[i] {
+			best := 0
+			for _, to := range f.outTo[f.outOff[node]:f.outOff[node+1]] {
+				if d := depth[to] + 1; d > best {
+					best = d
+				}
+			}
+			depth[node] = best
+		}
+	}
+	return depth
 }
 
 func targetsOf(edges []Edge) []NodeID {

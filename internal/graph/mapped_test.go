@@ -54,7 +54,7 @@ func TestLoadMappedFromFile(t *testing.T) {
 	if f.Mapped() != m.Mapped() {
 		t.Errorf("Frozen.Mapped() = %v, mapping.Mapped() = %v", f.Mapped(), m.Mapped())
 	}
-	assertReadersEqual(t, want, f)
+	assertMatchesRef(t, refOfFrozen(want), f)
 }
 
 // TestLoadMappedZeroCopyAliasing: on a zero-copy view the label arena
@@ -92,7 +92,7 @@ func TestLoadMappedUnalignedFallsBack(t *testing.T) {
 	if f.Mapped() {
 		t.Fatal("unaligned buffer claims zero-copy")
 	}
-	assertReadersEqual(t, want, f)
+	assertMatchesRef(t, refOfFrozen(want), f)
 }
 
 // TestLoadMappedLegacyFormats: the retired encodings — PBGR v1
@@ -251,7 +251,7 @@ func TestLoadMappedCloserOwnership(t *testing.T) {
 }
 
 // TestMappedMatchesStreamedExactly: the mapped and streamed loaders of
-// one snapshot answer every Reader query identically.
+// one snapshot answer every read identically.
 func TestMappedMatchesStreamedExactly(t *testing.T) {
 	snap := validV3(t)
 	streamed, err := LoadFrozen(bytes.NewReader(snap))
@@ -262,5 +262,5 @@ func TestMappedMatchesStreamedExactly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertReadersEqual(t, streamed, mapped)
+	assertMatchesRef(t, refOfFrozen(streamed), mapped)
 }

@@ -12,9 +12,11 @@ import (
 // Freeze a layout it can copy verbatim into the CSR arrays. The zero
 // value is not usable; call NewBuilder.
 //
-// Reads (the Reader methods) are safe for concurrent use with each
-// other; mutations (Intern, AddEdge) require external synchronisation
-// and must not race with reads.
+// Builder is write-side only: it answers the lookups and cycle probes
+// construction needs, and Freeze hands the finished graph to the read
+// path. Reads are safe for concurrent use with each other; mutations
+// (Intern, AddEdge) require external synchronisation and must not race
+// with reads.
 type Builder struct {
 	labels  []string
 	byLabel map[string]NodeID
@@ -29,14 +31,14 @@ func NewBuilder() *Builder {
 	return &Builder{byLabel: make(map[string]NodeID)}
 }
 
-// NewBuilderFrom returns a mutable copy of any Reader — the thaw
+// NewBuilderFrom returns a mutable copy of a frozen graph — the thaw
 // direction of Builder.Freeze, used when edges must be added to an
-// already-frozen taxonomy (merging, delta builds). Both implementations
-// keep adjacency sorted by Edge.To, so the copied rows are valid Builder
-// rows as-is. Labels are copied out of the source: a mapped Frozen's
-// Label returns zero-copy views into the mmap arena, which dangle once
-// the mapping closes, and the thawed Builder must outlive the source.
-func NewBuilderFrom(r Reader) *Builder {
+// already-frozen taxonomy (merging). Frozen rows are sorted by Edge.To,
+// so the copied rows are valid Builder rows as-is. Labels are copied
+// out of the source: a mapped Frozen's Label returns zero-copy views
+// into the mmap arena, which dangle once the mapping closes, and the
+// thawed Builder must outlive the source.
+func NewBuilderFrom(r *Frozen) *Builder {
 	b := NewBuilder()
 	n := r.NumNodes()
 	for id := 0; id < n; id++ {
@@ -62,9 +64,6 @@ func (b *Builder) Intern(label string) NodeID {
 	return id
 }
 
-// Clone returns a deep copy of the store.
-func (b *Builder) Clone() *Builder { return NewBuilderFrom(b) }
-
 // Lookup returns the node for the label, or NoNode.
 func (b *Builder) Lookup(label string) NodeID {
 	if id, ok := b.byLabel[label]; ok {
@@ -75,18 +74,6 @@ func (b *Builder) Lookup(label string) NodeID {
 
 // Label returns the label of a node.
 func (b *Builder) Label(id NodeID) string { return b.labels[id] }
-
-// NumNodes returns the node count.
-func (b *Builder) NumNodes() int { return len(b.labels) }
-
-// NumEdges returns the edge count.
-func (b *Builder) NumEdges() int {
-	n := 0
-	for _, es := range b.out {
-		n += len(es)
-	}
-	return n
-}
 
 // upsertEdge inserts or accumulates an edge in a To-sorted adjacency
 // row: counts add up, a non-zero plausibility overwrites.
@@ -128,31 +115,22 @@ func (b *Builder) EdgeBetween(from, to NodeID) (Edge, bool) {
 // Children returns the out-edges of a node, sorted by Edge.To.
 func (b *Builder) Children(id NodeID) []Edge { return b.out[id] }
 
-// Parents returns the in-edges of a node (Edge.To is the parent),
-// sorted by Edge.To.
-func (b *Builder) Parents(id NodeID) []Edge { return b.in[id] }
-
-// Kind classifies the node: out-edges make a concept, none an instance.
-func (b *Builder) Kind(id NodeID) Kind {
-	if len(b.out[id]) > 0 {
-		return KindConcept
+// Concepts returns all concept nodes, sorted by label.
+func (b *Builder) Concepts() []NodeID {
+	var out []NodeID
+	for id, row := range b.out {
+		if len(row) > 0 {
+			out = append(out, NodeID(id))
+		}
 	}
-	return KindInstance
+	sort.Slice(out, func(i, j int) bool { return b.labels[out[i]] < b.labels[out[j]] })
+	return out
 }
 
-// Roots returns all nodes without parents, sorted by label.
-func (b *Builder) Roots() []NodeID { return rootsOf(b) }
-
-// Concepts returns all concept nodes, sorted by label.
-func (b *Builder) Concepts() []NodeID { return conceptsOf(b) }
-
-// Instances returns all instance (leaf) nodes, sorted by label.
-func (b *Builder) Instances() []NodeID { return instancesOf(b) }
-
-// bfsScratch is the reusable traversal state for Builder BFS. The
+// bfsScratch is the reusable traversal state for Builder.HasPath. The
 // visited slice is keyed by NodeID and stamped with an epoch instead of
-// being cleared between runs; the queue doubles as the visit-order
-// record. Pooled so concurrent readers each get their own.
+// being cleared between runs. Pooled so concurrent probes each get
+// their own.
 type bfsScratch struct {
 	visited []uint32
 	epoch   uint32
@@ -184,38 +162,6 @@ func (b *Builder) getScratch() *bfsScratch {
 	return &bfsScratch{}
 }
 
-// closure runs a BFS from id over the given adjacency and returns the
-// visited nodes excluding id, in visit order.
-func (b *Builder) closure(id NodeID, adj [][]Edge) []NodeID {
-	sc := b.getScratch()
-	sc.reset(len(b.labels))
-	sc.mark(id)
-	sc.queue = append(sc.queue, id)
-	for head := 0; head < len(sc.queue); head++ {
-		for _, e := range adj[sc.queue[head]] {
-			if !sc.seen(e.To) {
-				sc.mark(e.To)
-				sc.queue = append(sc.queue, e.To)
-			}
-		}
-	}
-	var out []NodeID
-	if len(sc.queue) > 1 {
-		out = make([]NodeID, len(sc.queue)-1)
-		copy(out, sc.queue[1:])
-	}
-	b.scratch.Put(sc)
-	return out
-}
-
-// Descendants returns the descendant closure of id (excluding id),
-// deduplicated, in BFS order.
-func (b *Builder) Descendants(id NodeID) []NodeID { return b.closure(id, b.out) }
-
-// Ancestors returns the ancestor closure of id (excluding id) in BFS
-// order.
-func (b *Builder) Ancestors(id NodeID) []NodeID { return b.closure(id, b.in) }
-
 // HasPath reports whether to is reachable from from along out-edges.
 func (b *Builder) HasPath(from, to NodeID) bool {
 	if from == to {
@@ -240,20 +186,4 @@ func (b *Builder) HasPath(from, to NodeID) bool {
 	}
 	b.scratch.Put(sc)
 	return found
-}
-
-// TopoLevels partitions the nodes into the levels of Algorithm 3:
-// L1 holds nodes with no parents; L(k) holds nodes all of whose parents
-// lie in L1..L(k-1). An error is returned when the graph has a cycle.
-func (b *Builder) TopoLevels() ([][]NodeID, error) { return topoLevels(b) }
-
-// Level returns, for every node, the length of the longest path from the
-// node down to a leaf — the paper's definition of a concept's level
-// (Table 4): instances have level 0, their direct concepts level >= 1.
-func (b *Builder) Level() ([]int, error) {
-	levels, err := b.TopoLevels()
-	if err != nil {
-		return nil, err
-	}
-	return levelDepth(b, levels), nil
 }

@@ -37,8 +37,8 @@ func TestInternAndLookup(t *testing.T) {
 	if s.Label(a) != "alpha" {
 		t.Error("label mismatch")
 	}
-	if s.NumNodes() != 1 {
-		t.Errorf("NumNodes = %d", s.NumNodes())
+	if len(s.labels) != 1 {
+		t.Errorf("%d nodes, want 1", len(s.labels))
 	}
 }
 
@@ -51,18 +51,19 @@ func TestAddEdgeAccumulates(t *testing.T) {
 	if !ok || e.Count != 5 || e.Plausibility != 0.5 {
 		t.Errorf("edge = %+v ok=%v", e, ok)
 	}
-	if s.NumEdges() != 1 {
-		t.Errorf("NumEdges = %d", s.NumEdges())
+	if n := s.Freeze().NumEdges(); n != 1 {
+		t.Errorf("NumEdges = %d", n)
 	}
 	// in-edge mirrors out-edge
-	par := s.Parents(b)
+	par := s.in[b]
 	if len(par) != 1 || par[0].To != a || par[0].Count != 5 {
 		t.Errorf("parents = %+v", par)
 	}
 }
 
 func TestKindRootsConceptsInstances(t *testing.T) {
-	s, ids := diamond()
+	b, ids := diamond()
+	s := b.Freeze()
 	if s.Kind(ids["animal"]) != KindConcept || s.Kind(ids["cat"]) != KindInstance {
 		t.Error("Kind misclassifies")
 	}
@@ -83,7 +84,8 @@ func TestKindRootsConceptsInstances(t *testing.T) {
 }
 
 func TestTraversals(t *testing.T) {
-	s, ids := diamond()
+	b, ids := diamond()
+	s := b.Freeze()
 	desc := s.Descendants(ids["thing"])
 	if len(desc) != 5 {
 		t.Errorf("descendants of thing = %d, want 5", len(desc))
@@ -108,7 +110,8 @@ func TestTraversals(t *testing.T) {
 }
 
 func TestTopoLevelsAndLevel(t *testing.T) {
-	s, ids := diamond()
+	b, ids := diamond()
+	s := b.Freeze()
 	levels, err := s.TopoLevels()
 	if err != nil {
 		t.Fatal(err)
@@ -133,10 +136,14 @@ func TestTopoLevelsDetectsCycle(t *testing.T) {
 	a, b := s.Intern("a"), s.Intern("b")
 	s.AddEdge(a, b, 1, 0)
 	s.AddEdge(b, a, 1, 0)
-	if _, err := s.TopoLevels(); err == nil {
+	if !s.HasPath(a, b) || !s.HasPath(b, a) {
+		t.Error("cycle probe missed the back edge")
+	}
+	f := s.Freeze()
+	if _, err := f.TopoLevels(); err == nil {
 		t.Error("cycle not detected")
 	}
-	if _, err := s.Level(); err == nil {
+	if _, err := f.Level(); err == nil {
 		t.Error("Level on cyclic graph should fail")
 	}
 }
@@ -150,7 +157,7 @@ func TestEdgeBetweenMissing(t *testing.T) {
 
 func TestDescendantsOfLeafEmpty(t *testing.T) {
 	s, ids := diamond()
-	if d := s.Descendants(ids["IBM"]); len(d) != 0 {
+	if d := s.Freeze().Descendants(ids["IBM"]); len(d) != 0 {
 		t.Errorf("leaf descendants = %v", d)
 	}
 }
@@ -163,13 +170,14 @@ func TestDiamondDedup(t *testing.T) {
 	s.AddEdge(a, c, 1, 0)
 	s.AddEdge(b, d, 1, 0)
 	s.AddEdge(c, d, 1, 0)
-	if got := s.Descendants(a); len(got) != 3 {
+	f := s.Freeze()
+	if got := f.Descendants(a); len(got) != 3 {
 		t.Errorf("descendants = %d, want 3", len(got))
 	}
-	if got := s.Ancestors(d); len(got) != 3 {
+	if got := f.Ancestors(d); len(got) != 3 {
 		t.Errorf("ancestors = %d, want 3", len(got))
 	}
-	if !reflect.DeepEqual(s.Roots(), []NodeID{a}) {
-		t.Errorf("roots = %v", s.Roots())
+	if !reflect.DeepEqual(f.Roots(), []NodeID{a}) {
+		t.Errorf("roots = %v", f.Roots())
 	}
 }

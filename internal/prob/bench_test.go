@@ -9,7 +9,7 @@ import (
 	"repro/internal/kb"
 )
 
-func benchTaxonomy() *graph.Builder {
+func benchTaxonomy() *graph.Frozen {
 	rng := rand.New(rand.NewSource(1))
 	g := graph.NewBuilder()
 	root := g.Intern("thing")
@@ -28,12 +28,12 @@ func benchTaxonomy() *graph.Builder {
 			}
 		}
 	}
-	return g
+	return g.Freeze()
 }
 
 // layeredBenchGraph builds a deep layered DAG whose wide topological
 // levels are the axis the Algorithm 3 DP parallelizes over.
-func layeredBenchGraph(levels, width int) *graph.Builder {
+func layeredBenchGraph(levels, width int) *graph.Frozen {
 	rng := rand.New(rand.NewSource(7))
 	g := graph.NewBuilder()
 	prev := []graph.NodeID{g.Intern("root")}
@@ -51,7 +51,7 @@ func layeredBenchGraph(levels, width int) *graph.Builder {
 		}
 		prev = cur
 	}
-	return g
+	return g.Freeze()
 }
 
 // BenchmarkAlg3 measures the reachability DP at several worker counts;

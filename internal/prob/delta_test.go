@@ -144,8 +144,8 @@ func TestTrainDeltaMatchesFullTrain(t *testing.T) {
 	}
 }
 
-func deltaGraphs() (*graph.Builder, *graph.Builder) {
-	build := func(withDelta bool) *graph.Builder {
+func deltaGraphs() (*graph.Frozen, *graph.Frozen) {
+	build := func(withDelta bool) *graph.Frozen {
 		g := graph.NewBuilder()
 		id := func(l string) graph.NodeID { return g.Intern(l) }
 		g.AddEdge(id("thing"), id("company"), 30, 0.9)
@@ -163,7 +163,7 @@ func deltaGraphs() (*graph.Builder, *graph.Builder) {
 			// Changed plausibility on an existing edge.
 			g.AddEdge(id("animal"), id("cat"), 0, 0.99)
 		}
-		return g
+		return g.Freeze()
 	}
 	return build(false), build(true)
 }

@@ -18,8 +18,9 @@ func ExampleNew() {
 	g.AddEdge(company, it, 20, 0.9)
 	g.AddEdge(it, ms, 30, 0.8)
 
-	serial, _ := prob.New(g, prob.Options{Workers: 1})
-	pooled, _ := prob.New(g, prob.Options{Workers: 4})
+	fz := g.Freeze()
+	serial, _ := prob.New(fz, prob.Options{Workers: 1})
+	pooled, _ := prob.New(fz, prob.Options{Workers: 4})
 	fmt.Printf("P(company, Microsoft) = %.2f\n", pooled.Reach(company, ms))
 	fmt.Println("identical to serial:", pooled.Reach(company, ms) == serial.Reach(company, ms))
 	// Output:
@@ -41,7 +42,7 @@ func ExampleTypicality_InstancesOf() {
 	g.AddEdge(company, it, 20, 0.95)
 	g.AddEdge(it, ms, 30, 0.99)
 
-	ty, err := prob.NewTypicality(g)
+	ty, err := prob.NewTypicality(g.Freeze())
 	if err != nil {
 		panic(err)
 	}
@@ -67,7 +68,7 @@ func ExampleTypicality_ConceptsOfSet() {
 	g.AddEdge(country, g.Intern("USA"), 80, 0.99)
 	g.AddEdge(country, bric, 10, 0.9)
 
-	ty, err := prob.NewTypicality(g)
+	ty, err := prob.NewTypicality(g.Freeze())
 	if err != nil {
 		panic(err)
 	}

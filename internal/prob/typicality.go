@@ -27,7 +27,7 @@ type Ranked struct {
 // NewTypicality returns: the reachability table is immutable after
 // construction and the memoised T(i|x) tables are guarded by a lock.
 type Typicality struct {
-	g graph.Reader
+	g *graph.Frozen
 	// reach holds P(x,y): the probability that at least one path connects
 	// x down to y, from Algorithm 3. Keyed by x<<32|y. P(x,x)=1 implicit.
 	reach map[uint64]float64
@@ -70,15 +70,8 @@ type Options struct {
 // NewTypicality runs Algorithm 3 over the DAG and prepares the caches.
 // The graph's edges must carry counts; plausibilities default to a
 // count-saturating estimate when absent (0).
-func NewTypicality(g graph.Reader) (*Typicality, error) {
+func NewTypicality(g *graph.Frozen) (*Typicality, error) {
 	return New(g, Options{})
-}
-
-// NewTypicalityObserved is NewTypicality with stage telemetry: the
-// Algorithm 3 reachability DP is timed and its table size reported
-// under stage "prob.algorithm3". A nil reporter discards it.
-func NewTypicalityObserved(g graph.Reader, reporter obs.StageReporter) (*Typicality, error) {
-	return New(g, Options{Reporter: reporter})
 }
 
 // reachEntry is one computed P(x,y) for a fixed y — the per-node row
@@ -97,7 +90,7 @@ type reachEntry struct {
 // between levels. No goroutine writes state another reads, and the
 // per-row float arithmetic is the serial code unchanged, so the table
 // is byte-identical to a workers=1 run.
-func New(g graph.Reader, opts Options) (*Typicality, error) {
+func New(g *graph.Frozen, opts Options) (*Typicality, error) {
 	rep := obs.ReporterOrNop(opts.Reporter)
 	workers := parallel.Workers(opts.Workers)
 	rep.StageStart(obs.StageProbAlgorithm3)
@@ -263,8 +256,8 @@ func edgePlausibility(e graph.Edge) float64 {
 // bits) differs from prev's node of the same label — including nodes prev
 // lacks entirely. These are the seeds of the incremental DP's dirty
 // closure (Options.Seeds).
-func DirtySeeds(prev, next graph.Reader) []graph.NodeID {
-	inSig := func(g graph.Reader, id graph.NodeID) []string {
+func DirtySeeds(prev, next *graph.Frozen) []graph.NodeID {
+	inSig := func(g *graph.Frozen, id graph.NodeID) []string {
 		parents := g.Parents(id)
 		sig := make([]string, len(parents))
 		for i, pe := range parents {

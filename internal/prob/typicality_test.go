@@ -32,7 +32,7 @@ func companyGraph() (*graph.Builder, map[string]graph.NodeID) {
 
 func TestReachAlgorithm3(t *testing.T) {
 	g, ids := companyGraph()
-	ty, err := NewTypicality(g)
+	ty, err := NewTypicality(g.Freeze())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestReachAlgorithm3(t *testing.T) {
 
 func TestTypicalityRanking(t *testing.T) {
 	g, ids := companyGraph()
-	ty, err := NewTypicality(g)
+	ty, err := NewTypicality(g.Freeze())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestTypicalityIndirectEvidence(t *testing.T) {
 	// Microsoft wins. We verify the Eq. 4 behaviour and that removing the
 	// sub-concept edges flips the order.
 	g, ids := companyGraph()
-	ty, _ := NewTypicality(g)
+	ty, _ := NewTypicality(g.Freeze())
 	full := ty.InstancesOf(ids["company"])
 	if full[0].Label != "Microsoft" {
 		t.Fatalf("full ranking top = %v", full[0])
@@ -104,7 +104,7 @@ func TestTypicalityIndirectEvidence(t *testing.T) {
 	ms := flat.Intern("Microsoft")
 	flat.AddEdge(c, ibm, 50, 0.99)
 	flat.AddEdge(c, ms, 40, 0.99)
-	ty2, _ := NewTypicality(flat)
+	ty2, _ := NewTypicality(flat.Freeze())
 	direct := ty2.InstancesOf(c)
 	if direct[0].Label != "IBM" {
 		t.Fatalf("direct-only ranking top = %v, want IBM", direct[0])
@@ -113,7 +113,7 @@ func TestTypicalityIndirectEvidence(t *testing.T) {
 
 func TestConceptsOfAbstraction(t *testing.T) {
 	g, ids := companyGraph()
-	ty, _ := NewTypicality(g)
+	ty, _ := NewTypicality(g.Freeze())
 	ranked := ty.ConceptsOf(ids["Microsoft"])
 	if len(ranked) != 3 {
 		t.Fatalf("concepts = %v", ranked)
@@ -151,7 +151,7 @@ func TestConceptsOfSetTightens(t *testing.T) {
 	g.AddEdge(bric, india, 15, 0.99)
 	g.AddEdge(bric, china, 15, 0.99)
 	g.AddEdge(bric, brazil, 15, 0.99)
-	ty, _ := NewTypicality(g)
+	ty, _ := NewTypicality(g.Freeze())
 
 	single, ok := ty.ConceptsOfSet([]graph.NodeID{india})
 	if !ok || single[0].Label != "country" {
@@ -180,7 +180,7 @@ func TestNewTypicalityRejectsCycle(t *testing.T) {
 	a, b := g.Intern("a"), g.Intern("b")
 	g.AddEdge(a, b, 1, 0.5)
 	g.AddEdge(b, a, 1, 0.5)
-	if _, err := NewTypicality(g); err == nil {
+	if _, err := NewTypicality(g.Freeze()); err == nil {
 		t.Error("cycle accepted")
 	}
 }
@@ -211,7 +211,7 @@ func TestTopK(t *testing.T) {
 // layer must not race on the cache. Run with -race.
 func TestTypicalityConcurrentQueries(t *testing.T) {
 	g, ids := companyGraph()
-	ty, err := NewTypicality(g)
+	ty, err := NewTypicality(g.Freeze())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/taxstats"
 )
@@ -76,8 +77,8 @@ func scrape(t *testing.T, s *Server) string {
 	return rec.Body.String()
 }
 
-// TestSwapRefreshesStats is the Rebind acceptance criterion: after
-// swapping in a rebound snapshot with different content, the same
+// TestSwapRefreshesStats: after swapping in a snapshot with different
+// content, the same
 // /metrics registry scrapes the new probase_snapshot_* values, healthz
 // reports the new identity, and the hot-query cache is purged.
 func TestSwapRefreshesStats(t *testing.T) {
@@ -101,13 +102,13 @@ func TestSwapRefreshesStats(t *testing.T) {
 		t.Fatal("healthz has no fingerprint")
 	}
 
-	// Grow the taxonomy and swap the rebound engine in.
+	// Grow the taxonomy and swap the new engine in.
 	g := graph.NewBuilderFrom(pb.Graph)
 	sc := g.Intern("swapped-concept")
 	for _, inst := range []string{"swapped-a", "swapped-b", "swapped-c"} {
 		g.AddEdge(sc, g.Intern(inst), 5, 0.9)
 	}
-	npb, err := pb.Rebind(g.Freeze())
+	npb, err := core.FromFrozen(g.Freeze())
 	if err != nil {
 		t.Fatal(err)
 	}

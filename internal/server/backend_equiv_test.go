@@ -9,17 +9,14 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/graph"
 	"repro/internal/snapshot"
 )
 
-// TestBackendsByteIdentical is the storage-refactor acceptance bar,
-// three ways: one taxonomy snapshot served from (1) the heap-decoded
-// frozen CSR view, (2) a mutable Builder rebind of it, and (3) the
-// memory-mapped zero-copy view, must answer every endpoint with
-// byte-identical JSON. Any divergence means a Reader implementation
-// disagrees on iteration order, scores, or tie-breaks — or that the
-// mapped arrays are misinterpreting the on-disk bytes.
+// TestBackendsByteIdentical: one taxonomy snapshot served from the
+// heap-decoded frozen CSR view and from the memory-mapped zero-copy
+// view must answer every endpoint with byte-identical JSON. Any
+// divergence means the mapped arrays are misinterpreting the on-disk
+// bytes.
 func TestBackendsByteIdentical(t *testing.T) {
 	var buf bytes.Buffer
 	if err := testProbase(t).Save(&buf); err != nil {
@@ -34,13 +31,6 @@ func TestBackendsByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := pb.Graph.(*graph.Frozen); !ok {
-		t.Fatalf("Open produced %T, want the frozen CSR backend", pb.Graph)
-	}
-	bpb, err := pb.Rebind(graph.NewBuilderFrom(pb.Graph))
-	if err != nil {
-		t.Fatal(err)
-	}
 	mpb, err := snapshot.OpenMapped(path)
 	if err != nil {
 		t.Fatal(err)
@@ -48,9 +38,8 @@ func TestBackendsByteIdentical(t *testing.T) {
 	defer mpb.Close()
 
 	servers := map[string]*Server{
-		"frozen":  New(pb, Config{}),
-		"builder": New(bpb, Config{}),
-		"mapped":  New(mpb, Config{}),
+		"frozen": New(pb, Config{}),
+		"mapped": New(mpb, Config{}),
 	}
 
 	paths := []string{
@@ -67,17 +56,15 @@ func TestBackendsByteIdentical(t *testing.T) {
 	}
 	for _, p := range paths {
 		want := fetchBody(t, servers["frozen"], p)
-		for _, name := range []string{"builder", "mapped"} {
-			if got := fetchBody(t, servers[name], p); got != want {
-				t.Errorf("%s diverges across backends:\nfrozen: %s\n%s: %s", p, want, name, got)
-			}
+		if got := fetchBody(t, servers["mapped"], p); got != want {
+			t.Errorf("%s diverges across backings:\nfrozen: %s\nmapped: %s", p, want, got)
 		}
 	}
 
 	// healthz carries uptime, cache occupancy and the storage mode
 	// (mapped is expected to differ there), so compare just the logical
-	// snapshot identity. The fingerprint hashes graph content, so all
-	// three storage backends must agree on it.
+	// snapshot identity. The fingerprint hashes graph content, so both
+	// backings must agree on it.
 	type identity struct {
 		Status      string `json:"status"`
 		Nodes       int    `json:"nodes"`
@@ -96,10 +83,8 @@ func TestBackendsByteIdentical(t *testing.T) {
 	if ids["frozen"].Fingerprint == "" {
 		t.Error("healthz fingerprint is empty")
 	}
-	for _, name := range []string{"builder", "mapped"} {
-		if ids[name] != ids["frozen"] {
-			t.Errorf("healthz identity diverges: frozen %+v, %s %+v", ids["frozen"], name, ids[name])
-		}
+	if ids["mapped"] != ids["frozen"] {
+		t.Errorf("healthz identity diverges: frozen %+v, mapped %+v", ids["frozen"], ids["mapped"])
 	}
 
 	// The mapped server must actually be serving zero-copy (on hosts
@@ -126,11 +111,9 @@ func TestBackendsByteIdentical(t *testing.T) {
 		}
 		profiles[name] = string(ps.Profile)
 	}
-	for _, name := range []string{"builder", "mapped"} {
-		if profiles[name] != profiles["frozen"] {
-			t.Errorf("health profiles diverge across backends:\nfrozen: %s\n%s: %s",
-				profiles["frozen"], name, profiles[name])
-		}
+	if profiles["mapped"] != profiles["frozen"] {
+		t.Errorf("health profiles diverge across backings:\nfrozen: %s\nmapped: %s",
+			profiles["frozen"], profiles["mapped"])
 	}
 }
 

@@ -44,7 +44,7 @@
 //	GET /v1/healthz
 //	    Liveness plus snapshot identity: shape counts, the on-disk
 //	    format magic (empty for in-memory builds), and the logical
-//	    graph fingerprint (identical across storage backends). Status
+//	    graph fingerprint (identical for heap and mapped loads). Status
 //	    is "ok", or "degraded" when the in-server SLO burn-rate engine
 //	    has a multi-window error-budget rule firing (reasons explains
 //	    which); load balancers use it as a readiness signal.
@@ -120,11 +120,6 @@ type Config struct {
 	RequestTimeout time.Duration
 	// MaxK caps the k parameter. Default 1000.
 	MaxK int
-	// StatsSampleInstances caps how many instances the taxstats health
-	// profile scores on snapshot load and swap (0 = all). Large
-	// taxonomies can cap this to bound startup time; the profile records
-	// the cap so a sampled profile is never mistaken for exhaustive.
-	StatsSampleInstances int
 	// SLO is the availability objective the in-server burn-rate engine
 	// evaluates against the live traffic windows (probase_slo_* gauges,
 	// the ok|degraded /v1/healthz status). The zero value means
@@ -263,7 +258,7 @@ func New(pb *core.Probase, cfg Config) *Server {
 		mux:     http.NewServeMux(),
 		start:   time.Now(),
 	}
-	s.snap.Store(newSnapState(pb, cfg))
+	s.snap.Store(newSnapState(pb))
 	s.mux.Handle("/v1/instances", s.wrap(epInstances, true, s.handleInstances))
 	s.mux.Handle("/v1/concepts", s.wrap(epConcepts, true, s.handleConcepts))
 	s.mux.Handle("/v1/typicality", s.wrap(epTypicality, true, s.handleTypicality))
@@ -291,10 +286,8 @@ func New(pb *core.Probase, cfg Config) *Server {
 // be; if it somehow does, the state ships with a nil profile (stats
 // gauges read 0, /v1/admin/stats reports 503) rather than refusing to
 // serve queries.
-func newSnapState(pb *core.Probase, cfg Config) *snapState {
-	profile, _ := taxstats.Compute(pb.Graph, pb.Typicality(), taxstats.Options{
-		SampleInstances: cfg.StatsSampleInstances,
-	})
+func newSnapState(pb *core.Probase) *snapState {
+	profile, _ := taxstats.Compute(pb.Graph, pb.Typicality(), taxstats.Options{})
 	st := &snapState{pb: pb, rec: apps.NewRecognizer(pb), profile: profile}
 	st.refs.Store(1) // the Server's own reference, dropped on Swap
 	return st
@@ -332,7 +325,7 @@ func (s *Server) profile() *taxstats.Profile { return s.state().profile }
 // population. In-flight requests finish against whichever state they
 // started with. An unprofilable graph (cycle) is refused.
 func (s *Server) Swap(pb *core.Probase) error {
-	st := newSnapState(pb, s.cfg)
+	st := newSnapState(pb)
 	if st.profile == nil {
 		return fmt.Errorf("server: refusing swap: new snapshot is not profilable")
 	}
@@ -801,7 +794,7 @@ func (s *Server) handleHealthz(st *snapState, r *http.Request) (string, any, err
 		Mapped bool `json:"snapshot_mapped"`
 		// Fingerprint identifies the logical graph content; two replicas
 		// serving the same taxonomy report the same value regardless of
-		// storage backend or snapshot format.
+		// heap or mapped loading or snapshot format.
 		Fingerprint string        `json:"fingerprint"`
 		Shards      int           `json:"cache_shards"`
 		Cached      int           `json:"cache_entries"`

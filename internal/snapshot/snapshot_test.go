@@ -116,14 +116,6 @@ func TestLoadRecordsFormat(t *testing.T) {
 			if got.Format != tc.want {
 				t.Errorf("format = %q, want %q", got.Format, tc.want)
 			}
-			// The format survives a backend rebind (hot-swap path).
-			reb, err := got.Rebind(graph.NewBuilderFrom(got.Graph))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if reb.Format != tc.want {
-				t.Errorf("format after rebind = %q, want %q", reb.Format, tc.want)
-			}
 		})
 	}
 }

@@ -26,7 +26,7 @@ func BenchmarkBuild(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res := Build(groups, Config{})
-		if res.Graph.NumNodes() == 0 {
+		if res.Graph.Freeze().NumNodes() == 0 {
 			b.Fatal("empty graph")
 		}
 	}
@@ -38,7 +38,7 @@ func BenchmarkBuildJaccard(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res := Build(groups, Config{Sim: Jaccard{Tau: 0.5}})
-		if res.Graph.NumNodes() == 0 {
+		if res.Graph.Freeze().NumNodes() == 0 {
 			b.Fatal("empty graph")
 		}
 	}

@@ -125,7 +125,7 @@ func TestBuildProducesDAG(t *testing.T) {
 		{Super: "b", Subs: []string{"a", "x", "y"}},
 	}
 	res := Build(groups, Config{})
-	if _, err := res.Graph.TopoLevels(); err != nil {
+	if _, err := res.Graph.Freeze().TopoLevels(); err != nil {
 		t.Fatalf("graph has a cycle: %v", err)
 	}
 	if res.Stats.SkippedCycles == 0 {
@@ -135,11 +135,11 @@ func TestBuildProducesDAG(t *testing.T) {
 
 func TestBuildEmptyAndDegenerate(t *testing.T) {
 	res := Build(nil, Config{})
-	if res.Graph.NumNodes() != 0 {
+	if res.Graph.Freeze().NumNodes() != 0 {
 		t.Error("empty input produced nodes")
 	}
 	res = Build([]extraction.Group{{Super: "", Subs: []string{"x"}}, {Super: "a"}}, Config{})
-	if res.Graph.NumNodes() != 0 {
+	if res.Graph.Freeze().NumNodes() != 0 {
 		t.Error("degenerate groups produced nodes")
 	}
 }
@@ -181,16 +181,14 @@ func TestBuildParallelMatchesSerial(t *testing.T) {
 	)
 	serial := Build(groups, Config{Workers: 1})
 	parallel := Build(groups, Config{Workers: 8})
-	if serial.Graph.NumNodes() != parallel.Graph.NumNodes() ||
-		serial.Graph.NumEdges() != parallel.Graph.NumEdges() {
-		t.Fatalf("shapes differ: %d/%d vs %d/%d",
-			serial.Graph.NumNodes(), serial.Graph.NumEdges(),
-			parallel.Graph.NumNodes(), parallel.Graph.NumEdges())
+	sg, pg := serial.Graph.Freeze(), parallel.Graph.Freeze()
+	if sg.NumNodes() != pg.NumNodes() || sg.NumEdges() != pg.NumEdges() {
+		t.Fatalf("shapes differ: %d/%d vs %d/%d", sg.NumNodes(), sg.NumEdges(), pg.NumNodes(), pg.NumEdges())
 	}
 	if serial.Stats.HorizontalOps != parallel.Stats.HorizontalOps {
 		t.Errorf("hops differ: %d vs %d", serial.Stats.HorizontalOps, parallel.Stats.HorizontalOps)
 	}
-	for id := 0; id < serial.Graph.NumNodes(); id++ {
+	for id := 0; id < sg.NumNodes(); id++ {
 		label := serial.Graph.Label(graph.NodeID(id))
 		if parallel.Graph.Lookup(label) == graph.NoNode {
 			t.Errorf("parallel build missing node %q", label)

@@ -59,7 +59,7 @@ func TestMergeDeltaMatchesFullMerge(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("delta merge state differs: %d vs %d labels", len(got.Labels), len(want.Labels))
 	}
-	if res := Assemble(got, Config{}); res.Graph.NumNodes() == 0 {
+	if res := Assemble(got, Config{}); res.Graph.Freeze().NumNodes() == 0 {
 		t.Fatal("assembled delta state produced empty graph")
 	}
 }

@@ -3,6 +3,8 @@ package taxstats
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/graph"
 )
 
 func f(v float64) *float64 { return &v }
@@ -15,10 +17,11 @@ func testProfiles(t *testing.T) (*Profile, *Profile) {
 		t.Fatal(err)
 	}
 	// Perturb: add a concept with instances and re-profile.
-	g2 := companyGraph()
-	sc := g2.Intern("startup")
-	g2.AddEdge(g2.Lookup("company"), sc, 5, 0.7)
-	g2.AddEdge(sc, g2.Intern("Acme"), 3, 0.6)
+	b := graph.NewBuilderFrom(companyGraph())
+	sc := b.Intern("startup")
+	b.AddEdge(b.Lookup("company"), sc, 5, 0.7)
+	b.AddEdge(sc, b.Intern("Acme"), 3, 0.6)
+	g2 := b.Freeze()
 	new, err := Compute(g2, mustTypicality(t, g2), Options{})
 	if err != nil {
 		t.Fatal(err)

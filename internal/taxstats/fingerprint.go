@@ -11,14 +11,14 @@ import (
 
 // Fingerprint hashes the logical content of a taxonomy graph — labels
 // in node order, then every node's out-edges (target, count,
-// plausibility bits) in the Reader's sorted order — into a 16-hex-digit
-// FNV-1a digest. It depends only on the Reader contract, never on the
-// storage backend, so a Builder and the Frozen view frozen from it (or
-// a snapshot round-trip through either format) fingerprint identically,
-// while any change to a label, an edge, a count or a score changes the
-// digest. The serving layer reports it on /v1/healthz so two replicas
-// can be checked for serving the same taxonomy with one string compare.
-func Fingerprint(g graph.Reader) string {
+// plausibility bits) in To-sorted order — into a 16-hex-digit FNV-1a
+// digest. It depends only on the graph's content, never on how the
+// Frozen is backed, so a freshly frozen graph, its heap-loaded and its
+// memory-mapped snapshot fingerprint identically, while any change to a
+// label, an edge, a count or a score changes the digest. The serving
+// layer reports it on /v1/healthz so two replicas can be checked for
+// serving the same taxonomy with one string compare.
+func Fingerprint(g *graph.Frozen) string {
 	h := fnv.New64a()
 	var buf [8]byte
 	u64 := func(v uint64) {

@@ -4,13 +4,13 @@ import "repro/internal/obs"
 
 // Register exposes a profile provider as probase_snapshot_* gauges.
 // Every gauge evaluates get() at scrape time, so swapping the profile
-// behind the provider (snapshot hot-swap, core.Probase.Rebind) is all
+// behind the provider (snapshot hot-swap) is all
 // it takes to refresh the whole series — no re-registration. get may
 // return nil before the first profile lands; all gauges read 0 then.
 //
 // The node and edge counts are deliberately not registered here: the
 // server already exposes probase_snapshot_nodes/_edges directly off the
-// live graph.Reader, and double-registering the families would panic.
+// live graph, and double-registering the families would panic.
 func Register(reg *obs.Registry, get func() *Profile) {
 	p := func(f func(p *Profile) float64) func() float64 {
 		return func() float64 {

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/obs"
 )
 
@@ -52,8 +53,9 @@ func TestRegisterExposesAndRefreshes(t *testing.T) {
 
 	// Swap the profile behind the provider: the same registry scrapes
 	// the new values with no re-registration.
-	g2 := companyGraph()
-	g2.AddEdge(g2.Lookup("company"), g2.Intern("Acme"), 3, 0.6)
+	b := graph.NewBuilderFrom(companyGraph())
+	b.AddEdge(b.Lookup("company"), b.Intern("Acme"), 3, 0.6)
+	g2 := b.Freeze()
 	p2, err := Compute(g2, mustTypicality(t, g2), Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -46,7 +46,7 @@ type Options struct {
 	TopK int
 	// SampleInstances caps how many instances the typicality and
 	// entropy passes score; 0 means all. When a cap applies, the first
-	// SampleInstances instances in the Reader's deterministic
+	// SampleInstances instances in the graph's deterministic
 	// Instances() order (sorted by label) are profiled and
 	// Profile.SampledInstances records the cap, so a capped profile is
 	// never mistaken for an exhaustive one.
@@ -74,8 +74,8 @@ type ConceptStat struct {
 type Profile struct {
 	// Fingerprint identifies the logical graph content: labels in node
 	// order plus every out-edge with its count and plausibility bits.
-	// Two Readers with the same content (e.g. a Builder and its Frozen
-	// view) produce the same fingerprint.
+	// Two graphs with the same content (e.g. a heap-loaded and a mapped
+	// copy of one snapshot) produce the same fingerprint.
 	Fingerprint string `json:"fingerprint"`
 
 	Nodes     int `json:"nodes"`
@@ -118,7 +118,7 @@ type Profile struct {
 // score-distribution passes; with a nil typ the Typicality and Entropy
 // sections stay zero (graph-only profile). The only error source is a
 // cyclic graph, which a built or loaded taxonomy cannot be.
-func Compute(g graph.Reader, typ *prob.Typicality, opts Options) (*Profile, error) {
+func Compute(g *graph.Frozen, typ *prob.Typicality, opts Options) (*Profile, error) {
 	opts = opts.withDefaults()
 	levels, err := g.TopoLevels()
 	if err != nil {

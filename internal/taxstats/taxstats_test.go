@@ -1,6 +1,7 @@
 package taxstats
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -16,7 +17,7 @@ import (
 //	company -> it company (x20 p.95) -> {Microsoft x30 p.99, IBM x10 p.99}
 //	company -> big company (x15 p.9) -> {Microsoft x20 p.95}
 //	widget (isolated)
-func companyGraph() *graph.Builder {
+func companyGraph() *graph.Frozen {
 	g := graph.NewBuilder()
 	ids := map[string]graph.NodeID{}
 	for _, l := range []string{"company", "it company", "big company", "IBM", "Microsoft", "Xyz Inc", "widget"} {
@@ -30,12 +31,12 @@ func companyGraph() *graph.Builder {
 	g.AddEdge(ids["it company"], ids["IBM"], 10, 0.99)
 	g.AddEdge(ids["company"], ids["big company"], 15, 0.9)
 	g.AddEdge(ids["big company"], ids["Microsoft"], 20, 0.95)
-	return g
+	return g.Freeze()
 }
 
 // syntheticGraph builds a ~260-node three-layer taxonomy from a fixed
 // formula — big enough that the parallel passes actually fan out.
-func syntheticGraph() *graph.Builder {
+func syntheticGraph() *graph.Frozen {
 	g := graph.NewBuilder()
 	root := g.Intern("root")
 	for c := 0; c < 20; c++ {
@@ -51,10 +52,10 @@ func syntheticGraph() *graph.Builder {
 			}
 		}
 	}
-	return g
+	return g.Freeze()
 }
 
-func mustTypicality(t *testing.T, g graph.Reader) *prob.Typicality {
+func mustTypicality(t *testing.T, g *graph.Frozen) *prob.Typicality {
 	t.Helper()
 	ty, err := prob.NewTypicality(g)
 	if err != nil {
@@ -231,54 +232,63 @@ func TestComputeDeterministic(t *testing.T) {
 	}
 }
 
-// TestComputeBackendIdentical pins that profiling the Builder and its
-// Frozen view yields the same profile (shared fingerprint included).
+// TestComputeBackendIdentical pins that profiling a heap-loaded and a
+// memory-mapped copy of the same snapshot yields the same profile
+// (shared fingerprint included).
 func TestComputeBackendIdentical(t *testing.T) {
-	b := syntheticGraph()
-	f := b.Freeze()
-	pb, err := Compute(b, mustTypicality(t, b), Options{})
+	var buf bytes.Buffer
+	if err := syntheticGraph().Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	heap, err := graph.LoadFrozen(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pf, err := Compute(f, mustTypicality(t, f), Options{})
+	mapped, err := graph.LoadMapped(buf.Bytes(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jb, _ := json.Marshal(pb)
-	jf, _ := json.Marshal(pf)
-	if string(jb) != string(jf) {
-		t.Errorf("profiles differ between Builder and Frozen:\n%s\n%s", jb, jf)
+	defer mapped.Close()
+	ph, err := Compute(heap, mustTypicality(t, heap), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pm, err := Compute(mapped, mustTypicality(t, mapped), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jh, _ := json.Marshal(ph)
+	jm, _ := json.Marshal(pm)
+	if string(jh) != string(jm) {
+		t.Errorf("profiles differ between heap-loaded and mapped graphs:\n%s\n%s", jh, jm)
 	}
 }
 
 func TestFingerprint(t *testing.T) {
-	b := companyGraph()
-	fp := Fingerprint(b)
+	f := companyGraph()
+	fp := Fingerprint(f)
 	if len(fp) != 16 {
 		t.Fatalf("fingerprint %q, want 16 hex digits", fp)
 	}
-	if got := Fingerprint(b.Freeze()); got != fp {
-		t.Errorf("Frozen fingerprint %q != Builder %q", got, fp)
-	}
-	if got := Fingerprint(graph.NewBuilderFrom(b)); got != fp {
-		t.Errorf("thawed fingerprint %q != original %q", got, fp)
+	if got := Fingerprint(graph.NewBuilderFrom(f).Freeze()); got != fp {
+		t.Errorf("thawed and refrozen fingerprint %q != original %q", got, fp)
 	}
 	// Any content change moves the digest: a new count...
-	c1 := graph.NewBuilderFrom(b)
+	c1 := graph.NewBuilderFrom(f)
 	c1.AddEdge(c1.Lookup("company"), c1.Lookup("IBM"), 1, 0)
-	if Fingerprint(c1) == fp {
+	if Fingerprint(c1.Freeze()) == fp {
 		t.Error("fingerprint unchanged after count bump")
 	}
 	// ...a new plausibility...
-	c2 := graph.NewBuilderFrom(b)
+	c2 := graph.NewBuilderFrom(f)
 	c2.AddEdge(c2.Lookup("company"), c2.Lookup("IBM"), 0, 0.42)
-	if Fingerprint(c2) == fp {
+	if Fingerprint(c2.Freeze()) == fp {
 		t.Error("fingerprint unchanged after plausibility change")
 	}
 	// ...or a new node.
-	c3 := graph.NewBuilderFrom(b)
+	c3 := graph.NewBuilderFrom(f)
 	c3.Intern("startup")
-	if Fingerprint(c3) == fp {
+	if Fingerprint(c3.Freeze()) == fp {
 		t.Error("fingerprint unchanged after node addition")
 	}
 }
